@@ -77,9 +77,12 @@ func (e *Exact) Count(p id.ID) uint64 { return e.counts[p] }
 func (e *Exact) Distinct() int { return len(e.counts) }
 
 // Snapshot implements Counter.
-func (e *Exact) Snapshot() []Entry {
-	out := make([]Entry, 0, len(e.counts))
-	for p, c := range e.counts {
+func (e *Exact) Snapshot() []Entry { return sortedEntries(e.counts) }
+
+// sortedEntries lists exact counts in Snapshot order.
+func sortedEntries(counts map[id.ID]uint64) []Entry {
+	out := make([]Entry, 0, len(counts))
+	for p, c := range counts {
 		out = append(out, Entry{Peer: p, Count: c})
 	}
 	sortEntries(out)

@@ -223,3 +223,43 @@ func TestSpaceSavingQuickProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Shared must agree with a Windowed fed the same sequence, and an
+// Observe beside a Snapshot must be race-free (run under -race).
+func TestSharedMatchesWindowed(t *testing.T) {
+	s, w := NewShared(3), NewWindowed(3)
+	for i := 0; i < 500; i++ {
+		p := id.ID(i * 7 % 31)
+		s.Observe(p)
+		w.Observe(p)
+		if i%100 == 99 {
+			s.Rotate()
+			w.Rotate()
+		}
+	}
+	if s.Total() != w.Total() {
+		t.Fatalf("total %d, want %d", s.Total(), w.Total())
+	}
+	got, want := s.Snapshot(), w.Snapshot()
+	if len(got) != len(want) {
+		t.Fatalf("snapshot of %d entries, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("entry %d: %+v, want %+v", i, got[i], want[i])
+		}
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 2000; i++ {
+			s.Observe(id.ID(i % 31))
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		s.Snapshot()
+		s.Rotate()
+	}
+	<-done
+}

@@ -1,6 +1,10 @@
 package freq
 
-import "peercache/internal/id"
+import (
+	"sync"
+
+	"peercache/internal/id"
+)
 
 // Windowed is a rotating-bucket counter: observations land in the
 // current bucket, Rotate retires the oldest of the configured buckets,
@@ -60,19 +64,17 @@ func (w *Windowed) Count(p id.ID) uint64 {
 }
 
 // Snapshot implements Counter, aggregating the live buckets.
-func (w *Windowed) Snapshot() []Entry {
+func (w *Windowed) Snapshot() []Entry { return sortedEntries(w.merged()) }
+
+// merged sums the live buckets' counts per peer.
+func (w *Windowed) merged() map[id.ID]uint64 {
 	merged := make(map[id.ID]uint64)
 	for _, b := range w.buckets {
-		for _, e := range b.Snapshot() {
-			merged[e.Peer] += e.Count
+		for p, c := range b.counts {
+			merged[p] += c
 		}
 	}
-	out := make([]Entry, 0, len(merged))
-	for p, c := range merged {
-		out = append(out, Entry{Peer: p, Count: c})
-	}
-	sortEntries(out)
-	return out
+	return merged
 }
 
 // Reset implements Counter, clearing every bucket.
@@ -81,4 +83,55 @@ func (w *Windowed) Reset() {
 		w.buckets[i] = NewExact()
 	}
 	w.cur = 0
+}
+
+// Shared is a Windowed that observers and a selector may use from
+// different goroutines: every method takes one mutex for its own
+// duration. The live node records a lookup on the caller's goroutine
+// while an aux recomputation — Snapshot, then a selection that runs
+// for a large fraction of a millisecond — is under way on another, and
+// the observer must not wait the selection out.
+type Shared struct {
+	mu sync.Mutex
+	w  *Windowed
+}
+
+// NewShared returns a Shared over n rotating buckets (see NewWindowed).
+func NewShared(n int) *Shared { return &Shared{w: NewWindowed(n)} }
+
+// Observe implements Counter.
+func (s *Shared) Observe(p id.ID) {
+	s.mu.Lock()
+	s.w.Observe(p)
+	s.mu.Unlock()
+}
+
+// Rotate retires the oldest bucket (see Windowed.Rotate).
+func (s *Shared) Rotate() {
+	s.mu.Lock()
+	s.w.Rotate()
+	s.mu.Unlock()
+}
+
+// Total implements Counter.
+func (s *Shared) Total() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.w.Total()
+}
+
+// Snapshot implements Counter. Only the copy of the counts holds the
+// lock; ordering them does not.
+func (s *Shared) Snapshot() []Entry {
+	s.mu.Lock()
+	merged := s.w.merged()
+	s.mu.Unlock()
+	return sortedEntries(merged)
+}
+
+// Reset implements Counter.
+func (s *Shared) Reset() {
+	s.mu.Lock()
+	s.w.Reset()
+	s.mu.Unlock()
 }

@@ -1,0 +1,127 @@
+package node
+
+import (
+	"math/rand"
+	"sync"
+	"testing"
+	"time"
+
+	"peercache/internal/id"
+	"peercache/internal/memnet"
+)
+
+// parked is a Scheduler that runs maintenance only when the test says
+// so: step runs every registered job once. Between steps a node does
+// only what the test calls, so a benchmark or an allocation count sees
+// the lookup path alone.
+type parked struct {
+	mu   sync.Mutex
+	jobs []func()
+}
+
+type parkedJob struct{}
+
+func (p *parked) Every(_ time.Duration, fn func()) JobHandle {
+	p.mu.Lock()
+	p.jobs = append(p.jobs, fn)
+	p.mu.Unlock()
+	return parkedJob{}
+}
+func (parkedJob) Cancel() {}
+func (parkedJob) Wait()   {}
+
+func (p *parked) step() {
+	p.mu.Lock()
+	jobs := append([]func(){}, p.jobs...)
+	p.mu.Unlock()
+	for _, fn := range jobs {
+		fn()
+	}
+}
+
+// parkedRing boots len(ids) chord nodes (ids ascending) on one memnet,
+// steps their maintenance until the ring closes in id order, and leaves
+// it parked.
+func parkedRing(tb testing.TB, space id.Space, ids []uint64, mod func(*Config)) ([]*Node, *memnet.Network) {
+	tb.Helper()
+	nw := memnet.New(1)
+	sched := &parked{}
+	nodes := make([]*Node, len(ids))
+	for i, x := range ids {
+		cfg := memConfig(nw, space, id.ID(x))
+		cfg.Scheduler = sched
+		if mod != nil {
+			mod(&cfg)
+		}
+		n, err := Start(cfg)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() { n.Close() })
+		nodes[i] = n
+		if i > 0 {
+			if err := n.Join(nodes[0].Addr()); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	closed := func() bool {
+		for i, n := range nodes {
+			if n.Successor().ID != nodes[(i+1)%len(nodes)].ID() {
+				return false
+			}
+			if p, ok := n.Predecessor(); !ok || p.ID != nodes[(i+len(nodes)-1)%len(nodes)].ID() {
+				return false
+			}
+		}
+		return true
+	}
+	for round := 0; !closed(); round++ {
+		if round == 200 {
+			tb.Fatal("parked ring did not close in 200 maintenance rounds")
+		}
+		sched.step()
+	}
+	// A few more rounds fill the finger tables; the ring is closed, so
+	// they only shorten lookups.
+	for i := 0; i < 3*int(space.Bits()); i++ {
+		sched.step()
+	}
+	return nodes, nw
+}
+
+var benchIDs = []uint64{500, 9000, 17000, 26000, 33000, 42000, 50500, 61000}
+
+// BenchmarkLookupHealthy is the lookup race on a healthy network: an
+// 8-node memnet ring with maintenance parked, Zipf-free uniform targets
+// from one origin, default α.
+func BenchmarkLookupHealthy(b *testing.B) {
+	space := id.NewSpace(16)
+	nodes, _ := parkedRing(b, space, benchIDs, nil)
+	rng := rand.New(rand.NewSource(5))
+	targets := make([]id.ID, 1024)
+	for i := range targets {
+		targets[i] = id.ID(rng.Uint64() & (space.Size() - 1))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := nodes[0].Lookup(targets[i%len(targets)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRPC is one correlated round trip (Ping) between two joined
+// nodes: register, encode, memnet, decode, handle, reply, wake.
+func BenchmarkRPC(b *testing.B) {
+	nodes, _ := parkedRing(b, id.NewSpace(16), []uint64{100, 200}, nil)
+	addr := nodes[1].Addr()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := nodes[0].Ping(addr); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -10,7 +10,6 @@ package chordring
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"peercache/internal/core"
@@ -67,7 +66,7 @@ func New(h ring.Host, o ring.Options) (ring.Routing, ring.AuxMaintainer, error) 
 		hasFinger:   make([]bool, space.Bits()),
 		repairBatch: batch,
 	}
-	window := freq.NewWindowed(o.WindowBuckets)
+	window := freq.NewShared(o.WindowBuckets)
 	m, err := core.NewChordMaintainerWithCounter(space, self.ID, nil, o.AuxCount, o.DriftThreshold, window)
 	if err != nil {
 		return nil, nil, err
@@ -233,29 +232,20 @@ func (r *Ring) Distance(target, candidate id.ID) uint64 {
 // self, i.e. closest to the target first.
 func (r *Ring) Candidates(target id.ID, max int) []wire.Contact {
 	hop, done := r.NextHop(target)
-	out := []wire.Contact{hop}
 	if done || max <= 1 {
-		return out
+		return []wire.Contact{hop}
 	}
+	var top ring.TopK
+	top.Init(hop, r.self.ID, max)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	gt := r.space.Gap(r.self.ID, target)
-	type cand struct {
-		c wire.Contact
-		g uint64
-	}
-	seen := map[id.ID]bool{hop.ID: true, r.self.ID: true}
-	var cs []cand
 	add := func(c wire.Contact) {
-		if c.IsZero() || seen[c.ID] {
-			return
-		}
 		g := r.space.Gap(r.self.ID, c.ID)
 		if g == 0 || g > gt {
 			return // self or overshoot
 		}
-		seen[c.ID] = true
-		cs = append(cs, cand{c, g})
+		top.Add(c, 0, gt-g)
 	}
 	for i, ok := range r.hasFinger {
 		if ok {
@@ -268,14 +258,7 @@ func (r *Ring) Candidates(target id.ID, max int) []wire.Contact {
 	for _, a := range r.aux {
 		add(a)
 	}
-	sort.Slice(cs, func(i, j int) bool { return cs[i].g > cs[j].g })
-	for _, x := range cs {
-		if len(out) >= max {
-			break
-		}
-		out = append(out, x.c)
-	}
-	return out
+	return top.List()
 }
 
 // Owns reports whether this node is currently responsible for key: its
@@ -494,6 +477,18 @@ func (r *Ring) Aux() []wire.Contact {
 	return append([]wire.Contact(nil), r.aux...)
 }
 
+// HasAux reports whether x is in the auxiliary set.
+func (r *Ring) HasAux(x id.ID) bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, a := range r.aux {
+		if a.ID == x {
+			return true
+		}
+	}
+	return false
+}
+
 // SetAux installs the auxiliary neighbor set.
 func (r *Ring) SetAux(aux []wire.Contact) {
 	r.mu.Lock()
@@ -669,10 +664,11 @@ func (r *Ring) closestPreceding(target id.ID) wire.Contact {
 // (costs change with every RTT sample, so caching on frequency drift
 // alone would serve stale selections) and runs the Section V-C DP
 // directly on the windowed snapshot, which is why it keeps its own copy
-// of the core set. The runtime serializes calls, so no locking here.
+// of the core set. The runtime serializes every call but Observe, which
+// touches only the shared window, so no locking here.
 type auxPolicy struct {
 	m      *core.ChordMaintainer
-	window *freq.Windowed
+	window *freq.Shared
 	space  id.Space
 	self   id.ID
 	k      int

@@ -130,7 +130,7 @@ func New(h ring.Host, o ring.Options) (ring.Routing, ring.AuxMaintainer, error) 
 		space:  space,
 		self:   self.ID,
 		k:      o.AuxCount,
-		window: freq.NewWindowed(o.WindowBuckets),
+		window: freq.NewShared(o.WindowBuckets),
 	}
 	return r, a, nil
 }
@@ -365,35 +365,19 @@ func (r *Ring) Distance(target, candidate id.ID) uint64 {
 // by ascending XOR distance.
 func (r *Ring) Candidates(target id.ID, max int) []wire.Contact {
 	hop, done := r.NextHop(target)
-	out := []wire.Contact{hop}
 	if done || max <= 1 {
-		return out
+		return []wire.Contact{hop}
 	}
+	var top ring.TopK
+	top.Init(hop, r.self.ID, max)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	seen := map[id.ID]bool{hop.ID: true, r.self.ID: true}
-	var rest []wire.Contact
-	visit := func(c wire.Contact) {
-		if c.IsZero() || seen[c.ID] {
-			return
-		}
-		seen[c.ID] = true
-		rest = append(rest, c)
-	}
+	visit := func(c wire.Contact) { top.Add(c, 0, r.xorDist(c.ID, target)) }
 	r.eachContact(visit)
 	for _, a := range r.aux {
 		visit(a)
 	}
-	sort.Slice(rest, func(i, j int) bool {
-		return r.xorDist(rest[i].ID, target) < r.xorDist(rest[j].ID, target)
-	})
-	for _, c := range rest {
-		if len(out) >= max {
-			break
-		}
-		out = append(out, c)
-	}
-	return out
+	return top.List()
 }
 
 // Owns reports whether this node is XOR-closest to key among everything
@@ -847,6 +831,18 @@ func (r *Ring) Aux() []wire.Contact {
 	return append([]wire.Contact(nil), r.aux...)
 }
 
+// HasAux reports whether x is in the auxiliary set.
+func (r *Ring) HasAux(x id.ID) bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, a := range r.aux {
+		if a.ID == x {
+			return true
+		}
+	}
+	return false
+}
+
 // SetAux installs the auxiliary neighbor set.
 func (r *Ring) SetAux(aux []wire.Contact) {
 	r.mu.Lock()
@@ -924,12 +920,13 @@ func (r *Ring) learn(c wire.Contact) {
 // contract, mirroring the other geometries: keep only the rotating
 // frequency window and the last core set, and rebuild the maintainer on
 // each Select — construction is O(nb) against the selector's O(nkb).
-// The runtime serializes calls, so no locking here.
+// The runtime serializes every call but Observe, which touches only the
+// shared window, so no locking here.
 type auxPolicy struct {
 	space  id.Space
 	self   id.ID
 	k      int
-	window *freq.Windowed
+	window *freq.Shared
 	core   []id.ID
 }
 

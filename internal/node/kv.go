@@ -12,15 +12,6 @@ import (
 	"peercache/internal/wire"
 )
 
-// Owner-hint cache dimensions. The hints only have to survive between a
-// key's lookups and the next aux recomputation; a stale hint costs one
-// extra redirect (the old owner's find-successor answer points onward),
-// so the cache can be small and short-lived.
-const (
-	ownerHintCapacity = 1024
-	ownerHintTTL      = 2 * time.Minute
-)
-
 var (
 	// ErrNotFound reports a GET for a key nobody stores.
 	ErrNotFound = errors.New("node: key not found")
@@ -267,9 +258,7 @@ func (n *Node) FindValue(key id.ID) (GetResult, error) {
 	n.lookups.Add(1)
 	n.lookupHops.Add(uint64(out.hops))
 	if out.owner.ID != n.self.ID {
-		n.maintMu.Lock()
 		n.aux.Observe(key)
-		n.maintMu.Unlock()
 	}
 	if n.cache != nil {
 		n.cache.Put(key, cachedCopy{value: out.value, version: out.version}, now)

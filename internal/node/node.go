@@ -149,10 +149,10 @@ type Config struct {
 	// together (default 4096). A full store rejects new keys.
 	StoreCapacity int
 	// StoreShards is the number of prefix-sharded lock domains in the
-	// item store and the owner-hint cache (default 16). Rounded up to a
-	// power of two and clamped to the id space; keys partition by their
-	// top log2(shards) identifier bits, so concurrent writers on
-	// distant keys never contend on one mutex.
+	// item store (default 16). Rounded up to a power of two and clamped
+	// to the id space; keys partition by their top log2(shards)
+	// identifier bits, so concurrent writers on distant keys never
+	// contend on one mutex.
 	StoreShards int
 	// StoreTTL expires store items that have not been written or
 	// replica-refreshed within it (default 0: items never expire).
@@ -371,9 +371,10 @@ type Node struct {
 	// (successors vs. leaves, fingers vs. prefix rows) lives behind it.
 	rt ring.Routing
 
-	// maintMu guards the aux maintainer (not goroutine-safe) and the
-	// core-set dedupe that avoids invalidating its cache on no-op
-	// SetCore calls.
+	// maintMu serializes the aux maintainer's SetCore, Select and
+	// Rotate (Observe alone runs outside it, see ring.AuxMaintainer) and
+	// guards the core-set dedupe that avoids invalidating its cache on
+	// no-op SetCore calls.
 	maintMu  sync.Mutex
 	aux      ring.AuxMaintainer
 	lastCore []id.ID // sorted
@@ -396,7 +397,7 @@ type Node struct {
 	// pointer at a hot key's ring position to the owner's address.
 	store      *store
 	cache      *itemcache.TTLCache[cachedCopy]
-	ownerHints *itemcache.ShardedTTL[wire.Contact]
+	ownerHints ownerHints
 
 	// replMu guards the target set of the last replication push, so
 	// stabilize can trigger an extra round when the successors change.
@@ -481,7 +482,6 @@ func Start(cfg Config) (*Node, error) {
 	if cfg.ItemCacheCapacity > 0 {
 		n.cache = itemcache.NewTTL[cachedCopy](cfg.ItemCacheCapacity, cfg.ItemCacheTTL)
 	}
-	n.ownerHints = itemcache.NewShardedTTL[wire.Contact](ownerHintCapacity, ownerHintTTL, cfg.StoreShards, cfg.Space.Bits())
 	// The transport exists before the factory runs (so the geometry can
 	// capture a working Host) but starts reading only after, so no
 	// request races the geometry's construction.
@@ -1103,14 +1103,8 @@ func (n *Node) race(target id.ID, seed []wire.Contact, valueMode bool) (raceOutc
 // carries the aliased key position as its id, which is exactly what
 // the aux set holds.
 func (n *Node) noteAuxHit(r probeResult) {
-	if r.depth != 1 {
-		return
-	}
-	for _, a := range n.rt.Aux() {
-		if a.ID == r.peer.ID {
-			n.auxHits.Add(1)
-			return
-		}
+	if r.depth == 1 && n.rt.HasAux(r.peer.ID) {
+		n.auxHits.Add(1)
 	}
 }
 
@@ -1137,9 +1131,7 @@ func (n *Node) Lookup(key id.ID) (wire.Contact, int, error) {
 	n.lookups.Add(1)
 	n.lookupHops.Add(uint64(hops))
 	if owner.ID != n.self.ID {
-		n.maintMu.Lock()
 		n.aux.Observe(key)
-		n.maintMu.Unlock()
 		if owner.Addr != "" {
 			n.ownerHints.Put(key, owner, time.Now())
 		}

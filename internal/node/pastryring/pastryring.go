@@ -23,7 +23,6 @@ package pastryring
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"peercache/internal/core"
@@ -77,7 +76,7 @@ func New(h ring.Host, o ring.Options) (ring.Routing, ring.AuxMaintainer, error) 
 		space:  space,
 		self:   self.ID,
 		k:      o.AuxCount,
-		window: freq.NewWindowed(o.WindowBuckets),
+		window: freq.NewShared(o.WindowBuckets),
 	}
 	return r, a, nil
 }
@@ -278,53 +277,34 @@ func (r *Ring) Distance(target, candidate id.ID) uint64 {
 // Aux entries participate exactly as in NextHop.
 func (r *Ring) Candidates(target id.ID, max int) []wire.Contact {
 	hop, done := r.NextHop(target)
-	out := []wire.Contact{hop}
 	if done || max <= 1 {
-		return out
+		return []wire.Contact{hop}
 	}
+	var top ring.TopK
+	top.Init(hop, r.self.ID, max)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	l := r.space.CommonPrefixLen(r.self.ID, target)
-	seen := map[id.ID]bool{hop.ID: true, r.self.ID: true}
-	type cand struct {
-		c     wire.Contact
-		depth uint
-	}
-	var deeper []cand
-	var equal []wire.Contact
 	visit := func(c wire.Contact) {
-		if c.IsZero() || seen[c.ID] {
-			return
-		}
 		wl := r.space.CommonPrefixLen(c.ID, target)
 		switch {
 		case wl > l:
-			seen[c.ID] = true
-			deeper = append(deeper, cand{c, wl})
+			top.Add(c, 0, uint64(r.space.Bits()-wl))
 		case wl == l && closer(r.space, c.ID, r.self.ID, target):
-			seen[c.ID] = true
-			equal = append(equal, c)
+			// closer's order as one number: circular distance, then the
+			// predecessor side of the key before the successor side.
+			side := uint64(0)
+			if r.space.Gap(c.ID, target) > r.space.Gap(target, c.ID) {
+				side = 1
+			}
+			top.Add(c, 1, circDist(r.space, c.ID, target)<<1|side)
 		}
 	}
 	r.eachEntry(visit)
 	for _, a := range r.aux {
 		visit(a)
 	}
-	sort.SliceStable(deeper, func(i, j int) bool { return deeper[i].depth > deeper[j].depth })
-	sort.SliceStable(equal, func(i, j int) bool { return closer(r.space, equal[i].ID, equal[j].ID, target) })
-	for _, d := range deeper {
-		if len(out) >= max {
-			return out
-		}
-		out = append(out, d.c)
-	}
-	for _, c := range equal {
-		if len(out) >= max {
-			return out
-		}
-		out = append(out, c)
-	}
-	return out
+	return top.List()
 }
 
 // Owns reports whether this node is numerically closest to key among
@@ -567,6 +547,18 @@ func (r *Ring) Aux() []wire.Contact {
 	return append([]wire.Contact(nil), r.aux...)
 }
 
+// HasAux reports whether x is in the auxiliary set.
+func (r *Ring) HasAux(x id.ID) bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, a := range r.aux {
+		if a.ID == x {
+			return true
+		}
+	}
+	return false
+}
+
 // SetAux installs the auxiliary neighbor set.
 func (r *Ring) SetAux(aux []wire.Contact) {
 	r.mu.Lock()
@@ -772,12 +764,13 @@ func closer(space id.Space, a, b, key id.ID) bool {
 // only the rotating frequency window and the last core set, and
 // rebuilds the maintainer from them on each Select — construction is
 // O(nb) against the selector's O(nkb), so nothing is lost. The runtime
-// serializes calls, so no locking here.
+// serializes every call but Observe, which touches only the shared
+// window, so no locking here.
 type auxPolicy struct {
 	space  id.Space
 	self   id.ID
 	k      int
-	window *freq.Windowed
+	window *freq.Shared
 	core   []id.ID
 }
 

@@ -49,13 +49,11 @@ var qosGeometries = []struct {
 }
 
 // observeKeys records count lookups for key the way the runtime's
-// lookup path does, under the maintainer lock.
+// lookup path does.
 func observeKeys(n *Node, key id.ID, count int) {
-	n.maintMu.Lock()
 	for i := 0; i < count; i++ {
 		n.aux.Observe(key)
 	}
-	n.maintMu.Unlock()
 }
 
 func auxContains(n *Node, x id.ID) bool {

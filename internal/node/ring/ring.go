@@ -193,10 +193,13 @@ type Routing interface {
 	// fed to the AuxMaintainer before each selection.
 	CoreIDs() []id.ID
 
-	// Aux, SetAux, and RemoveAux manage the installed auxiliary
+	// Aux, HasAux, SetAux, and RemoveAux manage the installed auxiliary
 	// neighbor set A_s. The runtime owns selection and liveness; the
-	// geometry only stores the set and splices it into NextHop.
+	// geometry only stores the set and splices it into NextHop. Aux
+	// returns a copy; HasAux is the membership test the lookup path
+	// makes per resolved lookup, without one.
 	Aux() []wire.Contact
+	HasAux(x id.ID) bool
 	SetAux(aux []wire.Contact)
 	RemoveAux(x id.ID)
 }
@@ -204,8 +207,11 @@ type Routing interface {
 // AuxMaintainer is the selection policy behind a geometry's auxiliary
 // set: it accumulates the node's lookup-frequency observations and
 // recomputes the optimal k auxiliary ids on demand. The runtime
-// serializes all calls under one mutex, so implementations need no
-// internal locking.
+// serializes SetCore, Select and Rotate under one mutex, but calls
+// Observe from every lookup's goroutine without it — a client op must
+// not wait out a selection — so an implementation keeps its frequency
+// window safe for an Observe beside any other call (freq.Shared) and
+// needs no other locking.
 type AuxMaintainer interface {
 	// Observe records one lookup for key (the key's own ring position,
 	// not its owner's id — see node.Lookup).

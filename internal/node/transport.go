@@ -43,7 +43,7 @@ type transport struct {
 	handler func(m *wire.Message, src string)
 
 	mu       sync.Mutex
-	inflight map[uint64]chan *wire.Message
+	inflight map[uint64]*waiter
 	nextID   atomic.Uint64
 
 	// onRTT, when set before start, receives one RTT sample per
@@ -86,7 +86,7 @@ func newTransport(conn PacketConn, self wire.Contact, handler func(*wire.Message
 		conn:     conn,
 		self:     self,
 		handler:  handler,
-		inflight: make(map[uint64]chan *wire.Message),
+		inflight: make(map[uint64]*waiter),
 		done:     make(chan struct{}),
 	}
 }
@@ -101,11 +101,11 @@ func (t *transport) start() {
 
 // readLoop is the node's only endpoint reader. A response datagram
 // claims (and deregisters) its waiter; delivery cannot block because
-// each waiter channel has capacity 1 and is sent to at most once —
-// whoever deletes the map entry owns the send.
+// each waiter channel has capacity 1 and is sent to at most once per
+// registration — whoever deletes the map entry owns the send.
 func (t *transport) readLoop() {
 	defer t.wg.Done()
-	buf := make([]byte, 64*1024)
+	buf := make([]byte, wire.MaxMessageLen)
 	for {
 		n, src, err := t.conn.ReadFrom(buf)
 		if err != nil {
@@ -123,13 +123,13 @@ func (t *transport) readLoop() {
 		}
 		if m.Type.IsResponse() {
 			t.mu.Lock()
-			ch, ok := t.inflight[m.MsgID]
+			w, ok := t.inflight[m.MsgID]
 			if ok {
 				delete(t.inflight, m.MsgID)
 			}
 			t.mu.Unlock()
 			if ok {
-				ch <- m
+				w.ch <- m
 			}
 			continue
 		}
@@ -171,6 +171,47 @@ func (t *transport) call(addr string, req *wire.Message, timeout time.Duration, 
 	return t.callCancel(addr, req, timeout, retries, nil)
 }
 
+// waiter is one call's rendezvous with the read loop: the response
+// arrives on ch, and timer bounds each attempt's wait. Records are
+// pooled, so a healthy call allocates neither. A record goes back to
+// the pool only when nothing of the call can surface in the next one:
+// its channel is empty (abandon), and its timer was stopped short of
+// firing, so no tick is in flight (callCancel).
+type waiter struct {
+	ch    chan *wire.Message // capacity 1
+	timer *time.Timer        // created on first use
+}
+
+var waiters = sync.Pool{
+	New: func() any { return &waiter{ch: make(chan *wire.Message, 1)} },
+}
+
+// arm points the timer d from now. Within a call it is re-armed only
+// after it fired and its tick was taken.
+func (w *waiter) arm(d time.Duration) {
+	if w.timer == nil {
+		w.timer = time.NewTimer(d)
+		return
+	}
+	w.timer.Reset(d)
+}
+
+// abandon gives up the attempt registered under msgID: its inflight
+// entry goes, with the attempt's one delete. Whoever deletes an entry
+// owns the one send on its channel, so when the read loop got there
+// first its send is already on the way — it follows the delete without
+// blocking — and is taken here and dropped, exactly as a response
+// arriving a moment later would be; the channel is empty either way.
+func (t *transport) abandon(msgID uint64, w *waiter) {
+	t.mu.Lock()
+	_, mine := t.inflight[msgID]
+	delete(t.inflight, msgID)
+	t.mu.Unlock()
+	if !mine {
+		<-w.ch
+	}
+}
+
 // callCancel is call with a cancellation channel: when cancel closes
 // before a response arrives, the attempt's inflight entry is
 // deregistered and ErrCancelled returned immediately — no retries. A
@@ -184,8 +225,12 @@ func (t *transport) callCancel(addr string, req *wire.Message, timeout time.Dura
 	req.From = t.self
 	want := req.Type.Response()
 	t.rpcs.Add(1)
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
+	w := waiters.Get().(*waiter)
+	defer func() {
+		if w.timer == nil || w.timer.Stop() {
+			waiters.Put(w)
+		}
+	}()
 	for attempt := 0; ; attempt++ {
 		msgID := t.nextID.Add(1)
 		req.MsgID = msgID
@@ -195,22 +240,16 @@ func (t *transport) callCancel(addr string, req *wire.Message, timeout time.Dura
 			encBufs.Put(bp)
 			return nil, err // malformed request: retrying cannot help
 		}
-		ch := make(chan *wire.Message, 1)
 		t.mu.Lock()
-		t.inflight[msgID] = ch
+		t.inflight[msgID] = w
 		t.mu.Unlock()
-		deregister := func() {
-			t.mu.Lock()
-			delete(t.inflight, msgID)
-			t.mu.Unlock()
-		}
 		sentAt := time.Now()
 		_, werr := t.conn.WriteTo(b, addr)
 		n := len(b)
 		*bp = b[:0]
 		encBufs.Put(bp)
 		if werr != nil {
-			deregister()
+			t.abandon(msgID, w)
 			if t.closed.Load() {
 				return nil, ErrClosed
 			}
@@ -218,31 +257,25 @@ func (t *transport) callCancel(addr string, req *wire.Message, timeout time.Dura
 		}
 		t.datagramsOut.Add(1)
 		t.bytesOut.Add(uint64(n))
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(timeout)
+		w.arm(timeout) // the attempt's one arm
 		select {
-		case resp := <-ch:
+		case resp := <-w.ch:
+			// The read loop deleted the entry before it sent.
 			if resp.Type != want {
-				deregister()
 				return nil, fmt.Errorf("node: rpc %v to %s: got %v response", req.Type, addr, resp.Type)
 			}
 			if t.onRTT != nil {
 				t.onRTT(resp.From, time.Since(sentAt))
 			}
 			return resp, nil
-		case <-timer.C:
-			deregister()
+		case <-w.timer.C:
+			t.abandon(msgID, w)
 			t.timeouts.Add(1)
 		case <-cancel:
-			deregister()
+			t.abandon(msgID, w)
 			return nil, ErrCancelled
 		case <-t.done:
-			deregister()
+			t.abandon(msgID, w)
 			return nil, ErrClosed
 		}
 		if attempt >= retries {

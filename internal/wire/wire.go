@@ -341,6 +341,15 @@ const (
 	MaxDigestEntries = 128
 )
 
+// MaxMessageLen is the longest datagram Encode can produce: the
+// envelope plus the largest payload, a full RowExchangeResp with
+// maximal addresses. A receive buffer of this size loses nothing — a
+// longer datagram cannot decode whatever it is read into.
+const MaxMessageLen = 2 + 8 + maxContactLen + 1 + MaxRows*(1+maxContactLen)
+
+// maxContactLen is one encoded contact with a maximal address.
+const maxContactLen = 8 + 1 + MaxAddrLen
+
 // Decode errors.
 var (
 	ErrTruncated  = errors.New("wire: truncated message")

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"peercache/internal/id"
@@ -560,4 +561,53 @@ func TestResponsePairing(t *testing.T) {
 		}()
 		TReplicate.Response()
 	}()
+}
+
+// MaxMessageLen is the size of the largest encodable message, a full
+// row-exchange response with maximal addresses; read buffers are sized
+// by it.
+func TestMaxMessageLen(t *testing.T) {
+	addr := strings.Repeat("a", MaxAddrLen)
+	m := &Message{Type: TRowExchangeResp, MsgID: 1, From: Contact{ID: 1, Addr: addr}}
+	for i := 0; i < MaxRows; i++ {
+		m.Rows = append(m.Rows, Row{Index: uint8(i), Entry: Contact{ID: id.ID(i), Addr: addr}})
+	}
+	b, err := Encode(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) != MaxMessageLen {
+		t.Fatalf("largest row-exchange response encodes to %d bytes, MaxMessageLen is %d", len(b), MaxMessageLen)
+	}
+	// No other payload is longer.
+	others := []*Message{
+		{Type: TGetPredResp, HasPred: true, Pred: Contact{ID: 2, Addr: addr}, Succs: make([]Contact, MaxSuccs)},
+		{Type: TLeafProbeResp, Leaves: make([]Contact, MaxLeaves)},
+		{Type: TFindNodeResp, Done: true, Found: Contact{ID: 2, Addr: addr}, Closest: make([]Contact, MaxClosest)},
+		{Type: TGetResp, OK: true, Value: make([]byte, MaxValueLen)},
+		{Type: TReplicate, Value: make([]byte, MaxValueLen)},
+		{Type: TReplicateDigest, Digest: make([]DigestEntry, MaxDigestEntries)},
+	}
+	for _, o := range others {
+		o.From = Contact{ID: 1, Addr: addr}
+		for i := range o.Succs {
+			o.Succs[i] = Contact{ID: id.ID(i + 1), Addr: addr}
+		}
+		for i := range o.Leaves {
+			o.Leaves[i] = Contact{ID: id.ID(i + 1), Addr: addr}
+		}
+		for i := range o.Closest {
+			o.Closest[i] = Contact{ID: id.ID(i + 1), Addr: addr}
+		}
+		for i := range o.Digest {
+			o.Digest[i] = DigestEntry{Key: id.ID(uint64(i+1) << 56), Version: 1<<64 - 1, Sum: 1}
+		}
+		b, err := Encode(o)
+		if err != nil {
+			t.Fatalf("%v: %v", o.Type, err)
+		}
+		if len(b) > MaxMessageLen {
+			t.Fatalf("%v encodes to %d bytes, above MaxMessageLen %d", o.Type, len(b), MaxMessageLen)
+		}
+	}
 }
