@@ -28,7 +28,7 @@ type ChordMaintainer struct {
 	// selection reaches this threshold.
 	drift float64
 
-	counter freq.Counter
+	counter *freq.Exact
 	core    map[id.ID]bool
 
 	// snapshot of the distribution the cached selection was computed
@@ -45,18 +45,6 @@ type ChordMaintainer struct {
 // the observed distribution must move (total variation) before Select
 // recomputes; 0.1 is a reasonable default.
 func NewChordMaintainer(space id.Space, self id.ID, core []id.ID, k int, driftThreshold float64) (*ChordMaintainer, error) {
-	return NewChordMaintainerWithCounter(space, self, core, k, driftThreshold, freq.NewExact())
-}
-
-// NewChordMaintainerWithCounter is NewChordMaintainer with a custom
-// frequency counter — e.g. a freq.Windowed so stale traffic ages out of
-// the selection input (the live runtime in internal/node uses this), or
-// a freq.SpaceSaving sketch to bound memory. The maintainer takes
-// ownership: all observations must flow through Observe.
-func NewChordMaintainerWithCounter(space id.Space, self id.ID, core []id.ID, k int, driftThreshold float64, counter freq.Counter) (*ChordMaintainer, error) {
-	if counter == nil {
-		return nil, fmt.Errorf("core: nil frequency counter")
-	}
 	if k < 0 {
 		return nil, fmt.Errorf("core: negative k = %d", k)
 	}
@@ -71,7 +59,7 @@ func NewChordMaintainerWithCounter(space id.Space, self id.ID, core []id.ID, k i
 		self:    self,
 		k:       k,
 		drift:   driftThreshold,
-		counter: counter,
+		counter: freq.NewExact(),
 		core:    make(map[id.ID]bool, len(core)),
 	}
 	for _, c := range core {

@@ -1,10 +1,10 @@
 package core
 
-// Shared instance builder for the live runtime's QoS-aware aux
-// selection: all three geometry packages turn a frequency-window
-// snapshot plus the runtime's latency model into the (peers, bounds)
-// arguments the QoS selectors take, with identical filtering rules —
-// so the logic lives here once, next to the selectors it feeds.
+// Instance builder for the live runtime's QoS-aware aux selection: the
+// node turns a frequency-window snapshot plus its latency model into
+// the (peers, bounds) arguments the QoS selectors take, for whichever
+// geometry it runs — so the logic lives here once, next to the
+// selectors it feeds.
 
 import (
 	"sort"

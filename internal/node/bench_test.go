@@ -8,6 +8,10 @@ import (
 
 	"peercache/internal/id"
 	"peercache/internal/memnet"
+	"peercache/internal/node/chordring"
+	"peercache/internal/node/kadring"
+	"peercache/internal/node/pastryring"
+	"peercache/internal/node/ring"
 )
 
 // parked is a Scheduler that runs maintenance only when the test says
@@ -125,3 +129,89 @@ func BenchmarkRPC(b *testing.B) {
 		}
 	}
 }
+
+// tickTap parks every job like parked, and also keeps the jobs
+// registered with period auxEvery in registration order: one per node,
+// its aux tick (recompute, then age the frequency window).
+type tickTap struct {
+	parked
+	auxEvery time.Duration
+	ticks    []func()
+}
+
+func (s *tickTap) Every(p time.Duration, fn func()) JobHandle {
+	if p == s.auxEvery {
+		s.mu.Lock()
+		s.ticks = append(s.ticks, fn)
+		s.mu.Unlock()
+	}
+	return s.parked.Every(p, fn)
+}
+
+// benchRecomputeAux times one aux tick of a node in an 8-node memnet
+// overlay of the given geometry with k = 8 and maintenance parked.
+// Before each tick, untimed, the node looks up 64 Zipf(1.2) keys from a
+// 256-key pool whose popularity ranking moves every tick, so the window
+// a tick selects from (four ticks of lookups) has always changed
+// significantly since the last one and every tick runs a selection.
+func benchRecomputeAux(b *testing.B, factory ring.Factory) {
+	space := id.NewSpace(16)
+	nw := memnet.New(1)
+	sched := &tickTap{auxEvery: 1234 * time.Millisecond}
+	nodes := make([]*Node, len(benchIDs))
+	for i, x := range benchIDs {
+		cfg := memConfig(nw, space, id.ID(x))
+		cfg.NewRing = factory
+		cfg.AuxCount = 8
+		cfg.AuxEvery = sched.auxEvery
+		cfg.Scheduler = sched
+		n, err := Start(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { n.Close() })
+		nodes[i] = n
+		if i > 0 {
+			if err := n.Join(nodes[0].Addr()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 4*int(space.Bits()); i++ {
+		sched.step()
+	}
+	n, tick := nodes[0], sched.ticks[0]
+	rng := rand.New(rand.NewSource(7))
+	keys := make([]id.ID, 256)
+	for i := range keys {
+		keys[i] = id.ID(rng.Uint64() & (space.Size() - 1))
+	}
+	zipf := rand.NewZipf(rng, 1.2, 1, uint64(len(keys)-1))
+	lookups := func(shift int) {
+		for j := 0; j < 64; j++ {
+			if _, _, err := n.Lookup(keys[(int(zipf.Uint64())+shift)%len(keys)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for w := 0; w < 4; w++ {
+		lookups(w * 37)
+		tick()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		lookups((i + 4) * 37)
+		b.StartTimer()
+		tick()
+	}
+	b.StopTimer()
+	if len(n.Aux()) == 0 {
+		b.Fatal("no aux entries installed: the ticks selected nothing")
+	}
+}
+
+func BenchmarkRecomputeAuxChord(b *testing.B)    { benchRecomputeAux(b, chordring.New) }
+func BenchmarkRecomputeAuxPastry(b *testing.B)   { benchRecomputeAux(b, pastryring.New) }
+func BenchmarkRecomputeAuxKademlia(b *testing.B) { benchRecomputeAux(b, kadring.New) }

@@ -48,7 +48,7 @@ func (r *Ring) candidatesRef(target id.ID, max int) []wire.Contact {
 	for _, s := range r.succs {
 		add(s)
 	}
-	for _, a := range r.aux {
+	for _, a := range r.Aux() {
 		add(a)
 	}
 	sort.Slice(cs, func(i, j int) bool { return cs[i].g > cs[j].g })
@@ -90,9 +90,11 @@ func randomRing(rng *rand.Rand, space id.Space) *Ring {
 	for i := 0; i < 1+rng.Intn(4); i++ {
 		r.succs = append(r.succs, pick("succ"))
 	}
+	var aux []wire.Contact
 	for i := 0; i < rng.Intn(9); i++ {
-		r.aux = append(r.aux, pick("aux"))
+		aux = append(aux, pick("aux"))
 	}
+	r.SetAux(aux)
 	if rng.Intn(2) == 0 {
 		r.pred, r.hasPred = pick("pred"), true
 	}
@@ -144,9 +146,11 @@ func BenchmarkCandidatesChord(b *testing.B) {
 	for i := 0; i < 4; i++ {
 		r.succs = append(r.succs, contact(uint64(2+i)))
 	}
+	var aux []wire.Contact
 	for i := 0; i < 8; i++ {
-		r.aux = append(r.aux, contact(rng.Uint64()&(space.Size()-1)|1<<4))
+		aux = append(aux, contact(rng.Uint64()&(space.Size()-1)|1<<4))
 	}
+	r.SetAux(aux)
 	targets := make([]id.ID, 256)
 	for i := range targets {
 		targets[i] = id.ID(rng.Uint64() & (space.Size() - 1))

@@ -2,10 +2,10 @@
 // successor list, predecessor pointer, and finger table that
 // internal/node embedded directly before the ring.Routing split, now
 // behind the protocol-agnostic contract. The runtime drives it with
-// tickers (Stabilize, RepairTable) and iterative lookups (NextHop); the
-// paired aux maintainer wraps core.ChordMaintainer, the paper's
-// selection policy for the ring distance metric, over a rotating
-// frequency window.
+// tickers (Stabilize, RepairTable) and iterative lookups (NextHop), and
+// selects auxiliary neighbors under the ring distance metric (SelectAux:
+// the paper's Section V-B fast selector, or the V-C DP under delay
+// bounds).
 package chordring
 
 import (
@@ -13,7 +13,6 @@ import (
 	"sync"
 
 	"peercache/internal/core"
-	"peercache/internal/freq"
 	"peercache/internal/id"
 	"peercache/internal/node/ring"
 	"peercache/internal/wire"
@@ -38,15 +37,15 @@ type Ring struct {
 	fingers   []wire.Contact // fingers[i] covers (self+2^i, self+2^{i+1}]
 	hasFinger []bool
 
-	aux []wire.Contact // auxiliary neighbors, the paper's A_s
+	ring.AuxSet // auxiliary neighbors, the paper's A_s; read without mu
 
 	nextFinger  uint // round-robin cursor for RepairTable
 	repairBatch int  // fingers refreshed per RepairTable call
 }
 
-// New builds the Chord geometry and its drift-gated selection
-// maintainer. It is the default ring.Factory of node.Config.
-func New(h ring.Host, o ring.Options) (ring.Routing, ring.AuxMaintainer, error) {
+// New builds the Chord geometry. It is the default ring.Factory of
+// node.Config.
+func New(h ring.Host, o ring.Options) (ring.Routing, error) {
 	space, self := h.Space(), h.Self()
 	batch := o.RepairBatch
 	if batch < 1 {
@@ -66,12 +65,7 @@ func New(h ring.Host, o ring.Options) (ring.Routing, ring.AuxMaintainer, error) 
 		hasFinger:   make([]bool, space.Bits()),
 		repairBatch: batch,
 	}
-	window := freq.NewShared(o.WindowBuckets)
-	m, err := core.NewChordMaintainerWithCounter(space, self.ID, nil, o.AuxCount, o.DriftThreshold, window)
-	if err != nil {
-		return nil, nil, err
-	}
-	return r, &auxPolicy{m: m, window: window, space: space, self: self.ID, k: o.AuxCount}, nil
+	return r, nil
 }
 
 // Protocol implements ring.Routing.
@@ -255,7 +249,7 @@ func (r *Ring) Candidates(target id.ID, max int) []wire.Contact {
 	for _, s := range r.succs {
 		add(s)
 	}
-	for _, a := range r.aux {
+	for _, a := range r.Aux() {
 		add(a)
 	}
 	return top.List()
@@ -470,43 +464,18 @@ func (r *Ring) CoreIDs() []id.ID {
 	return out
 }
 
-// Aux returns a copy of the auxiliary set.
-func (r *Ring) Aux() []wire.Contact {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]wire.Contact(nil), r.aux...)
-}
-
-// HasAux reports whether x is in the auxiliary set.
-func (r *Ring) HasAux(x id.ID) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, a := range r.aux {
-		if a.ID == x {
-			return true
-		}
+// SelectAux implements ring.Routing under the ring distance metric of
+// eq. 6: core.SelectChordFast, or core.SelectChordQoS (bounds in
+// ChordDist hops) when bounds are given.
+func (r *Ring) SelectAux(coreIDs []id.ID, peers []core.Peer, k int, bounds map[id.ID]uint) ([]id.ID, error) {
+	var res core.Result
+	var err error
+	if bounds == nil {
+		res, err = core.SelectChordFast(r.space, r.self.ID, coreIDs, peers, k)
+	} else {
+		res, err = core.SelectChordQoS(r.space, r.self.ID, coreIDs, peers, k, bounds)
 	}
-	return false
-}
-
-// SetAux installs the auxiliary neighbor set.
-func (r *Ring) SetAux(aux []wire.Contact) {
-	r.mu.Lock()
-	r.aux = append(aux[:0:0], aux...)
-	r.mu.Unlock()
-}
-
-// RemoveAux drops one auxiliary entry (its liveness ping failed).
-func (r *Ring) RemoveAux(dead id.ID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := r.aux[:0]
-	for _, a := range r.aux {
-		if a.ID != dead {
-			out = append(out, a)
-		}
-	}
-	r.aux = out
+	return res.Aux, err
 }
 
 // successor returns the first entry of the successor list (self when
@@ -652,52 +621,8 @@ func (r *Ring) closestPreceding(target id.ID) wire.Contact {
 	for _, s := range r.succs {
 		consider(s)
 	}
-	for _, a := range r.aux {
+	for _, a := range r.Aux() {
 		consider(a)
 	}
 	return best
-}
-
-// auxPolicy adapts core.ChordMaintainer (plus its rotating frequency
-// window) to the ring.AuxMaintainer contract. It also implements
-// ring.QoSSelector: the QoS path bypasses the maintainer's drift cache
-// (costs change with every RTT sample, so caching on frequency drift
-// alone would serve stale selections) and runs the Section V-C DP
-// directly on the windowed snapshot, which is why it keeps its own copy
-// of the core set. The runtime serializes every call but Observe, which
-// touches only the shared window, so no locking here.
-type auxPolicy struct {
-	m      *core.ChordMaintainer
-	window *freq.Shared
-	space  id.Space
-	self   id.ID
-	k      int
-	core   []id.ID
-}
-
-func (a *auxPolicy) Observe(key id.ID) { a.m.Observe(key) }
-func (a *auxPolicy) Rotate()           { a.window.Rotate() }
-
-func (a *auxPolicy) SetCore(ids []id.ID) error {
-	a.core = append(ids[:0:0], ids...)
-	return a.m.SetCore(ids)
-}
-
-func (a *auxPolicy) Select() ([]id.ID, error) {
-	res, err := a.m.Select()
-	if err != nil {
-		return nil, err
-	}
-	return res.Aux, nil
-}
-
-// SelectQoS implements ring.QoSSelector via the Section V-C DP
-// (core.SelectChordQoS), with bounds expressed in ChordDist hops.
-func (a *auxPolicy) SelectQoS(cost func(id.ID) (float64, bool), bound func(id.ID) (uint, bool)) ([]id.ID, error) {
-	peers, bounds := core.QoSInstance(a.window.Snapshot(), a.self, a.core, cost, bound)
-	res, err := core.SelectChordQoS(a.space, a.self, a.core, peers, a.k, bounds)
-	if err != nil {
-		return nil, err
-	}
-	return res.Aux, nil
 }

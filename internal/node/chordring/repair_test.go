@@ -41,11 +41,9 @@ func (h *stubHost) Resolve(target id.ID) (wire.Contact, int, error) {
 
 func newTestRing(t *testing.T, h *stubHost, batch int) *Ring {
 	t.Helper()
-	rt, _, err := New(h, ring.Options{
+	rt, err := New(h, ring.Options{
 		NeighborListLen: 4,
 		MaxLookupHops:   32,
-		WindowBuckets:   4,
-		DriftThreshold:  0.05,
 		RepairBatch:     batch,
 	})
 	if err != nil {

@@ -33,7 +33,7 @@ func (r *Ring) candidatesRef(target id.ID, max int) []wire.Contact {
 		rest = append(rest, c)
 	}
 	r.eachContact(visit)
-	for _, a := range r.aux {
+	for _, a := range r.Aux() {
 		visit(a)
 	}
 	sort.Slice(rest, func(i, j int) bool {
@@ -75,9 +75,11 @@ func randomRing(rng *rand.Rand, space id.Space) *Ring {
 			r.buckets[i] = append(r.buckets[i], pick(fmt.Sprintf("b%d", i)))
 		}
 	}
+	var aux []wire.Contact
 	for i := 0; i < rng.Intn(9); i++ {
-		r.aux = append(r.aux, pick("aux"))
+		aux = append(aux, pick("aux"))
 	}
+	r.SetAux(aux)
 	return r
 }
 
@@ -135,9 +137,11 @@ func BenchmarkCandidatesKademlia(b *testing.B) {
 		}
 	}
 	r.pending = nil
+	var aux []wire.Contact
 	for i := 0; i < 8; i++ {
-		r.aux = append(r.aux, contact(id.ID(rng.Uint64()&(space.Size()-1))))
+		aux = append(aux, contact(id.ID(rng.Uint64()&(space.Size()-1))))
 	}
+	r.SetAux(aux)
 	targets := make([]id.ID, 256)
 	for i := range targets {
 		targets[i] = id.ID(rng.Uint64() & (space.Size() - 1))

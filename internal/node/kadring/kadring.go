@@ -29,11 +29,11 @@
 // gossiped candidates — otherwise dead nodes circulate forever between
 // peers that evict and re-learn them from each other's answers.
 //
-// The paired aux maintainer wraps core.KademliaMaintainer: the residual
-// distance after a first hop to w is the index of the target's k-bucket
-// at w, b − LCP(w, target) — the same form as the Pastry prefix
-// distance, so the paper's O(nkb) greedy selector applies with only the
-// metric reinterpreted. Auxiliary entries are spliced into NextHop and
+// Aux selection reuses the Pastry selectors: the residual distance
+// after a first hop to w is the index of the target's k-bucket at w,
+// b − LCP(w, target) — the same form as the Pastry prefix distance, so
+// the paper's O(nkb) greedy selector applies with only the metric
+// reinterpreted. Auxiliary entries are spliced into NextHop and
 // Candidates exactly like bucket contacts but never answer peers'
 // TFindNode requests: an aux id may be a key position aliased to the
 // owner's address, and leaking it into a TFindNodeResp would pollute
@@ -47,7 +47,6 @@ import (
 	"sync"
 
 	"peercache/internal/core"
-	"peercache/internal/freq"
 	"peercache/internal/id"
 	"peercache/internal/node/ring"
 	"peercache/internal/wire"
@@ -97,23 +96,23 @@ type Ring struct {
 	// liveness ping before bucket admission, oldest first.
 	pending []wire.Contact
 
-	aux []wire.Contact // auxiliary neighbors, the paper's A_s
+	ring.AuxSet // auxiliary neighbors, the paper's A_s; read without mu
 
 	nextEvict  uint       // round-robin cursor for Stabilize's eviction checks
 	nextBucket uint       // round-robin cursor for RepairTable
 	rng        *rand.Rand // refresh-target randomization; guarded by mu
 }
 
-// New builds the Kademlia geometry and its greedy selection maintainer.
-// Pass it as node.Config.NewRing to run a Kademlia node.
-func New(h ring.Host, o ring.Options) (ring.Routing, ring.AuxMaintainer, error) {
+// New builds the Kademlia geometry. Pass it as node.Config.NewRing to
+// run a Kademlia node.
+func New(h ring.Host, o ring.Options) (ring.Routing, error) {
 	space, self := h.Space(), h.Self()
 	k := o.BucketSize
 	if k == 0 {
 		k = DefaultBucketSize
 	}
 	if k < 1 {
-		return nil, nil, fmt.Errorf("kadring: bucket size %d < 1", k)
+		return nil, fmt.Errorf("kadring: bucket size %d < 1", k)
 	}
 	r := &Ring{
 		h:          h,
@@ -126,13 +125,7 @@ func New(h ring.Host, o ring.Options) (ring.Routing, ring.AuxMaintainer, error) 
 		repl:       make([][]wire.Contact, space.Bits()),
 		rng:        rand.New(rand.NewSource(int64(self.ID) + 1)),
 	}
-	a := &auxPolicy{
-		space:  space,
-		self:   self.ID,
-		k:      o.AuxCount,
-		window: freq.NewShared(o.WindowBuckets),
-	}
-	return r, a, nil
+	return r, nil
 }
 
 // Protocol implements ring.Routing.
@@ -320,7 +313,7 @@ func (r *Ring) NextHop(target id.ID) (wire.Contact, bool) {
 		// Nothing strictly closer than self: claim the key.
 		return r.self, true
 	}
-	for _, a := range r.aux {
+	for _, a := range r.Aux() {
 		if r.xorDist(a.ID, target) < r.xorDist(best.ID, target) {
 			best = a
 		}
@@ -374,7 +367,7 @@ func (r *Ring) Candidates(target id.ID, max int) []wire.Contact {
 	defer r.mu.RUnlock()
 	visit := func(c wire.Contact) { top.Add(c, 0, r.xorDist(c.ID, target)) }
 	r.eachContact(visit)
-	for _, a := range r.aux {
+	for _, a := range r.Aux() {
 		visit(a)
 	}
 	return top.List()
@@ -824,43 +817,21 @@ func (r *Ring) Buckets() map[uint][]wire.Contact {
 // BucketSize reports the configured per-bucket capacity k.
 func (r *Ring) BucketSize() int { return r.bucketSize }
 
-// Aux returns a copy of the auxiliary set.
-func (r *Ring) Aux() []wire.Contact {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]wire.Contact(nil), r.aux...)
-}
-
-// HasAux reports whether x is in the auxiliary set.
-func (r *Ring) HasAux(x id.ID) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, a := range r.aux {
-		if a.ID == x {
-			return true
-		}
+// SelectAux implements ring.Routing. Kademlia's XOR bucket-ladder
+// distance is the Pastry prefix distance under the d = b − LCP identity
+// (see core/kademlia_maint.go), so the Pastry selectors apply verbatim:
+// core.SelectPastryGreedy, or core.SelectPastryQoS (bounds in
+// bucket-index distance, which equals bit-digit prefix distance) when
+// bounds are given.
+func (r *Ring) SelectAux(coreIDs []id.ID, peers []core.Peer, k int, bounds map[id.ID]uint) ([]id.ID, error) {
+	var res core.Result
+	var err error
+	if bounds == nil {
+		res, err = core.SelectPastryGreedy(r.space, coreIDs, peers, k)
+	} else {
+		res, err = core.SelectPastryQoS(r.space, coreIDs, peers, k, bounds)
 	}
-	return false
-}
-
-// SetAux installs the auxiliary neighbor set.
-func (r *Ring) SetAux(aux []wire.Contact) {
-	r.mu.Lock()
-	r.aux = append(aux[:0:0], aux...)
-	r.mu.Unlock()
-}
-
-// RemoveAux drops one auxiliary entry (its liveness ping failed).
-func (r *Ring) RemoveAux(dead id.ID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := r.aux[:0]
-	for _, a := range r.aux {
-		if a.ID != dead {
-			out = append(out, a)
-		}
-	}
-	r.aux = out
+	return res.Aux, err
 }
 
 // eachContact visits every bucket contact under the caller's lock. Aux
@@ -914,59 +885,4 @@ func (r *Ring) learn(c wire.Contact) {
 		q = q[:len(q)-1]
 	}
 	r.repl[i] = append(q, c)
-}
-
-// auxPolicy adapts core.KademliaMaintainer to the ring.AuxMaintainer
-// contract, mirroring the other geometries: keep only the rotating
-// frequency window and the last core set, and rebuild the maintainer on
-// each Select — construction is O(nb) against the selector's O(nkb).
-// The runtime serializes every call but Observe, which touches only the
-// shared window, so no locking here.
-type auxPolicy struct {
-	space  id.Space
-	self   id.ID
-	k      int
-	window *freq.Shared
-	core   []id.ID
-}
-
-func (a *auxPolicy) Observe(key id.ID) { a.window.Observe(key) }
-func (a *auxPolicy) Rotate()           { a.window.Rotate() }
-
-func (a *auxPolicy) SetCore(ids []id.ID) error {
-	a.core = append(ids[:0:0], ids...)
-	return nil
-}
-
-func (a *auxPolicy) Select() ([]id.ID, error) {
-	coreSet := make(map[id.ID]bool, len(a.core))
-	for _, c := range a.core {
-		coreSet[c] = true
-	}
-	var peers []core.Peer
-	for _, e := range a.window.Snapshot() {
-		if e.Count == 0 || e.Peer == a.self || coreSet[e.Peer] {
-			continue
-		}
-		peers = append(peers, core.Peer{ID: e.Peer, Freq: float64(e.Count)})
-	}
-	m, err := core.NewKademliaMaintainer(a.space, a.core, peers, a.k)
-	if err != nil {
-		return nil, err // core.ErrNoNeighbors while there is nothing yet
-	}
-	return m.Select().Aux, nil
-}
-
-// SelectQoS implements ring.QoSSelector. Kademlia's XOR bucket-ladder
-// distance is the Pastry prefix distance under the d = b − LCP identity
-// (see core/kademlia_maint.go), so the Section IV-D bounded selection
-// applies verbatim: bounds are expressed in bucket-index distance,
-// which equals bit-digit prefix distance.
-func (a *auxPolicy) SelectQoS(cost func(id.ID) (float64, bool), bound func(id.ID) (uint, bool)) ([]id.ID, error) {
-	peers, bounds := core.QoSInstance(a.window.Snapshot(), a.self, a.core, cost, bound)
-	res, err := core.SelectPastryQoS(a.space, a.core, peers, a.k, bounds)
-	if err != nil {
-		return nil, err
-	}
-	return res.Aux, nil
 }

@@ -60,7 +60,7 @@ func (h *fakeHost) RTTOf(x id.ID) (time.Duration, bool) { return 0, false }
 func newTestRing(t *testing.T, space id.Space, net map[string]*Ring, x id.ID) *Ring {
 	t.Helper()
 	self := wire.Contact{ID: x, Addr: fmt.Sprintf("fake/%d", x)}
-	rt, _, err := New(&fakeHost{t: t, self: self, space: space, net: net}, ring.Options{
+	rt, err := New(&fakeHost{t: t, self: self, space: space, net: net}, ring.Options{
 		NeighborListLen: 4,
 		BucketSize:      4,
 		MaxLookupHops:   16,

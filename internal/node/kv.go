@@ -258,7 +258,7 @@ func (n *Node) FindValue(key id.ID) (GetResult, error) {
 	n.lookups.Add(1)
 	n.lookupHops.Add(uint64(out.hops))
 	if out.owner.ID != n.self.ID {
-		n.aux.Observe(key)
+		n.window.Observe(key)
 	}
 	if n.cache != nil {
 		n.cache.Put(key, cachedCopy{value: out.value, version: out.version}, now)

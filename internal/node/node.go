@@ -12,11 +12,13 @@
 // The routing geometry is pluggable: the runtime here owns the
 // transport, RPC correlation, the iterative lookup driver, the kv data
 // plane, replication, the contact-address cache, and the tickers, while
-// everything protocol-specific lives behind the ring.Routing and
-// ring.AuxMaintainer interfaces (internal/node/ring). Chord
-// (internal/node/chordring, the default) and Pastry
-// (internal/node/pastryring) implement them today; Config.NewRing
-// selects the geometry.
+// everything protocol-specific lives behind the ring.Routing interface
+// (internal/node/ring). Chord (internal/node/chordring, the default),
+// Pastry (internal/node/pastryring) and Kademlia (internal/node/kadring)
+// implement it today; Config.NewRing selects the geometry. The paper's
+// auxiliary-neighbor layer is the runtime's too — one frequency window,
+// one recomputation trigger, one installed set per node — and a
+// geometry contributes only its distance metric (Routing.SelectAux).
 //
 // The transport is equally pluggable: everything here depends only on
 // the PacketConn contract (packetconn.go). Production nodes run over
@@ -44,6 +46,7 @@ import (
 	"time"
 
 	"peercache/internal/core"
+	"peercache/internal/freq"
 	"peercache/internal/id"
 	"peercache/internal/itemcache"
 	"peercache/internal/node/chordring"
@@ -64,9 +67,9 @@ type Config struct {
 	// bound address). Needed when binding a wildcard address.
 	Advertise string
 
-	// NewRing selects the routing geometry and its auxiliary-selection
-	// policy (default chordring.New; pastryring.New is the other
-	// in-tree geometry). The factory runs before the transport starts.
+	// NewRing selects the routing geometry (default chordring.New;
+	// pastryring.New and kadring.New are the other in-tree geometries).
+	// The factory runs before the transport starts.
 	NewRing ring.Factory
 
 	// SuccessorListLen bounds the geometry's near-neighbor list: the
@@ -98,16 +101,11 @@ type Config struct {
 	// what large benchmark overlays wait on; Pastry and Kademlia repair
 	// by exchange and ignore it.
 	FixFingersBatch int
-	// AuxEvery is the auxiliary recomputation period. 0 (the
-	// default) disables the ticker; RecomputeAux can still be called
-	// explicitly.
+	// AuxEvery is the auxiliary recomputation period: every tick
+	// re-selects the aux set from the observed frequencies, then ages
+	// the frequency window, which spans four ticks. 0 (the default)
+	// disables the ticker; RecomputeAux can still be called explicitly.
 	AuxEvery time.Duration
-	// WindowBuckets is the number of rotating frequency buckets; the
-	// observation window spans WindowBuckets aux ticks (default 4).
-	WindowBuckets int
-	// DriftThreshold is the total-variation drift that triggers an
-	// actual re-selection inside the maintainer (default 0.05).
-	DriftThreshold float64
 	// AuxQoS enables latency-aware aux selection: recomputeAux weights
 	// each observed peer's lookup frequency by its measured smoothed
 	// RTT and runs the paper's delay-bound-constrained selection
@@ -225,12 +223,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.FixFingersBatch < 1 {
 		return c, fmt.Errorf("node: fix-fingers batch %d below 1", c.FixFingersBatch)
-	}
-	if c.WindowBuckets == 0 {
-		c.WindowBuckets = 4
-	}
-	if c.DriftThreshold == 0 {
-		c.DriftThreshold = 0.05
 	}
 	if c.AuxQoSDelayBound == 0 {
 		c.AuxQoSDelayBound = 100 * time.Millisecond
@@ -371,13 +363,11 @@ type Node struct {
 	// (successors vs. leaves, fingers vs. prefix rows) lives behind it.
 	rt ring.Routing
 
-	// maintMu serializes the aux maintainer's SetCore, Select and
-	// Rotate (Observe alone runs outside it, see ring.AuxMaintainer) and
-	// guards the core-set dedupe that avoids invalidating its cache on
-	// no-op SetCore calls.
-	maintMu  sync.Mutex
-	aux      ring.AuxMaintainer
-	lastCore []id.ID // sorted
+	// window holds the lookup-frequency observations aux selection
+	// runs on (Section III's "past history of accesses within a time
+	// window"): every client lookup adds to it without waiting on a
+	// selection, and each aux tick ages it one bucket.
+	window *freq.Shared
 
 	// addrMu guards the contact cache: every id the node has ever heard
 	// from, mapped to its last known transport address (the live-network
@@ -472,10 +462,11 @@ func Start(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("node: advertise address %q exceeds %d bytes", adv, wire.MaxAddrLen)
 	}
 	n := &Node{
-		cfg:   cfg,
-		self:  wire.Contact{ID: cfg.ID, Addr: adv},
-		addrs: make(map[id.ID]string),
-		rtt:   make(map[id.ID]rttEstimate),
+		cfg:    cfg,
+		self:   wire.Contact{ID: cfg.ID, Addr: adv},
+		addrs:  make(map[id.ID]string),
+		rtt:    make(map[id.ID]rttEstimate),
+		window: freq.NewShared(auxWindowBuckets),
 	}
 	n.auxQoS.Store(cfg.AuxQoS)
 	n.store = newStore(cfg.StoreCapacity, cfg.StoreTTL, cfg.StoreShards, cfg.Space.Bits())
@@ -487,13 +478,10 @@ func Start(cfg Config) (*Node, error) {
 	// request races the geometry's construction.
 	n.tr = newTransport(conn, n.self, n.handle)
 	n.tr.onRTT = n.observeRTT
-	n.rt, n.aux, err = cfg.NewRing(host{n}, ring.Options{
+	n.rt, err = cfg.NewRing(host{n}, ring.Options{
 		NeighborListLen: cfg.SuccessorListLen,
 		BucketSize:      cfg.BucketSize,
 		MaxLookupHops:   cfg.MaxLookupHops,
-		AuxCount:        cfg.AuxCount,
-		WindowBuckets:   cfg.WindowBuckets,
-		DriftThreshold:  cfg.DriftThreshold,
 		RepairBatch:     cfg.FixFingersBatch,
 	})
 	if err != nil {
@@ -630,8 +618,8 @@ func (n *Node) Fingers() []wire.Contact { return n.rt.TableList() }
 // TableSize counts the populated long-range table entries.
 func (n *Node) TableSize() int { return n.rt.TableSize() }
 
-// Aux returns the current auxiliary neighbor set.
-func (n *Node) Aux() []wire.Contact { return n.rt.Aux() }
+// Aux returns a copy of the current auxiliary neighbor set.
+func (n *Node) Aux() []wire.Contact { return slices.Clone(n.rt.Aux()) }
 
 // Metrics returns a snapshot of the node's counters.
 func (n *Node) Metrics() Metrics {
@@ -1131,7 +1119,7 @@ func (n *Node) Lookup(key id.ID) (wire.Contact, int, error) {
 	n.lookups.Add(1)
 	n.lookupHops.Add(uint64(hops))
 	if owner.ID != n.self.ID {
-		n.aux.Observe(key)
+		n.window.Observe(key)
 		if owner.Addr != "" {
 			n.ownerHints.Put(key, owner, time.Now())
 		}
@@ -1146,24 +1134,38 @@ func (n *Node) Lookup(key id.ID) (wire.Contact, int, error) {
 // replication push when the replica target set changed, and the heal
 // probe that lets rings separated by a network partition find each
 // other again once it lifts.
+//
+// Aux liveness is pinged per distinct address, not per entry: the
+// owner-aliased entries for several hot keys of one owner, or a direct
+// entry beside an alias to the same node, share an address, and that
+// node answers for all of them at once.
 func (n *Node) stabilize() {
 	n.rt.Stabilize()
-	for _, a := range n.rt.Aux() {
-		if _, err := n.call(a.Addr, &wire.Message{Type: wire.TPing}); err != nil {
-			n.rt.RemoveAux(a.ID)
-			// Also retire the caches the entry was installed from, or
-			// the very next recompute would re-select the id, find the
-			// same dead address, and reinstall the entry — an evict/
-			// reinstall loop that never converges. Dropping the caches
-			// bounds eviction: once a recompute runs after this round,
-			// the id either resolves to a live address learned since or
-			// is skipped. (The aux id is a node id for directly selected
-			// entries — forget its contact-cache address — and a key
-			// position for owner-aliased ones — invalidate its owner
-			// hint; the wrong-side call of each pair is a no-op.)
-			n.forgetAddr(a.ID, a.Addr)
-			n.ownerHints.Invalidate(a.ID)
+	aux := n.rt.Aux()
+	live := make(map[string]bool, len(aux))
+	for _, a := range aux {
+		ok, pinged := live[a.Addr]
+		if !pinged {
+			_, err := n.call(a.Addr, &wire.Message{Type: wire.TPing})
+			ok = err == nil
+			live[a.Addr] = ok
 		}
+		if ok {
+			continue
+		}
+		n.rt.RemoveAux(a.ID)
+		// Also retire the caches the entry was installed from, or the
+		// very next recompute would re-select the id, find the same dead
+		// address, and reinstall the entry — an evict/reinstall loop that
+		// never converges. Dropping the caches bounds eviction: once a
+		// recompute runs after this round, the id either resolves to a
+		// live address learned since or is skipped. (The aux id is a node
+		// id for directly selected entries — forget its contact-cache
+		// address — and a key position for owner-aliased ones —
+		// invalidate its owner hint; the wrong-side call of each pair is
+		// a no-op.)
+		n.forgetAddr(a.ID, a.Addr)
+		n.ownerHints.Invalidate(a.ID)
 	}
 	n.replicateOnSuccChange()
 	n.healProbe()
@@ -1211,6 +1213,10 @@ func (n *Node) SetAuxQoS(on bool) { n.auxQoS.Store(on) }
 // AuxQoSEnabled reports whether QoS-aware aux selection is active.
 func (n *Node) AuxQoSEnabled() bool { return n.auxQoS.Load() }
 
+// auxWindowBuckets is how many aux ticks the frequency window spans:
+// an observation counts toward this many selections, then ages out.
+const auxWindowBuckets = 4
+
 // RecomputeAux recomputes the auxiliary neighbor set from the observed
 // frequencies immediately (the ticker does the same on AuxEvery, plus a
 // window rotation). It reports how many of the selected ids were
@@ -1220,23 +1226,10 @@ func (n *Node) RecomputeAux() (int, error) {
 }
 
 func (n *Node) recomputeAux(rotate bool) (int, error) {
-	coreIDs := n.rt.CoreIDs()
-	sort.Slice(coreIDs, func(i, j int) bool { return coreIDs[i] < coreIDs[j] })
-	n.maintMu.Lock()
-	if !slices.Equal(coreIDs, n.lastCore) {
-		// SetCore invalidates the maintainer's drift cache, so only
-		// report genuine core changes.
-		if err := n.aux.SetCore(coreIDs); err != nil {
-			n.maintMu.Unlock()
-			return 0, err
-		}
-		n.lastCore = coreIDs
-	}
-	ids, err := n.selectAuxLocked()
+	ids, err := n.selectAux()
 	if rotate {
-		n.aux.Rotate()
+		n.window.Rotate()
 	}
-	n.maintMu.Unlock()
 	if err != nil {
 		if errors.Is(err, core.ErrNoNeighbors) {
 			return 0, nil // nothing observed and no core yet; keep waiting
@@ -1264,33 +1257,55 @@ func (n *Node) recomputeAux(rotate bool) (int, error) {
 	return len(aux), nil
 }
 
-// selectAuxLocked picks the next aux id set under maintMu: the plain
-// frequency-greedy selection, or — with AuxQoS on and a geometry that
-// implements ring.QoSSelector — the paper's delay-bound-constrained
-// selection with measured RTTs as peer costs. When the bounds are
-// infeasible (no k-subset can give every far peer a direct pointer)
-// the node drops the bounds but keeps the RTT costs: the retry is the
-// unconstrained cost-weighted optimum, still latency-aware, rather
-// than a silent reversion to hop-greedy. The fallback is counted so
-// benches can see it.
-func (n *Node) selectAuxLocked() ([]id.ID, error) {
+// selectAux picks the next aux id set: it builds the selection
+// instance from the window snapshot and the geometry's current core
+// set, and the geometry solves it under its own distance metric. The
+// plain instance is every observed peer with its raw count, self and
+// core members excluded. With AuxQoS on, core.QoSInstance weights each
+// count by the peer's measured RTT and bounds the far peers, and the
+// geometry runs the paper's delay-bound-constrained selection. When
+// the bounds are infeasible (no k-subset can give every far peer a
+// direct pointer) the node drops the bounds but keeps the RTT costs:
+// the retry is the unconstrained cost-weighted optimum, still
+// latency-aware, rather than a silent reversion to hop-greedy. The
+// fallback is counted so benches can see it.
+func (n *Node) selectAux() ([]id.ID, error) {
+	coreIDs := n.rt.CoreIDs()
+	snap := n.window.Snapshot()
+	k := n.cfg.AuxCount
 	if !n.auxQoS.Load() {
-		return n.aux.Select()
+		return n.rt.SelectAux(coreIDs, auxPeers(snap, n.self.ID, coreIDs), k, nil)
 	}
-	qs, ok := n.aux.(ring.QoSSelector)
-	if !ok {
-		return n.aux.Select()
+	peers, bounds := core.QoSInstance(snap, n.self.ID, coreIDs, n.qosCost, n.qosBound)
+	if bounds == nil {
+		bounds = map[id.ID]uint{} // nothing bounded, still the QoS selector
 	}
-	ids, err := qs.SelectQoS(n.qosCost, n.qosBound)
+	ids, err := n.rt.SelectAux(coreIDs, peers, k, bounds)
 	if errors.Is(err, core.ErrInfeasible) {
 		n.auxQoSInfeasible.Add(1)
-		ids, err = qs.SelectQoS(n.qosCost, nil)
+		ids, err = n.rt.SelectAux(coreIDs, peers, k, map[id.ID]uint{})
 	}
 	if err != nil {
 		return nil, err
 	}
 	n.auxQoSSelects.Add(1)
 	return ids, nil
+}
+
+// auxPeers is the plain selection instance: every observed peer with
+// its raw window count, minus self and the core set.
+func auxPeers(snap []freq.Entry, self id.ID, coreIDs []id.ID) []core.Peer {
+	inCore := make(map[id.ID]bool, len(coreIDs))
+	for _, c := range coreIDs {
+		inCore[c] = true
+	}
+	peers := make([]core.Peer, 0, len(snap))
+	for _, e := range snap {
+		if e.Count > 0 && e.Peer != self && !inCore[e.Peer] {
+			peers = append(peers, core.Peer{ID: e.Peer, Freq: float64(e.Count)})
+		}
+	}
+	return peers
 }
 
 // peerRTT resolves the latency estimate behind one observed frequency

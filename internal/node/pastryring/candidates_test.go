@@ -46,7 +46,7 @@ func (r *Ring) candidatesRef(target id.ID, max int) []wire.Contact {
 		}
 	}
 	r.eachEntry(visit)
-	for _, a := range r.aux {
+	for _, a := range r.Aux() {
 		visit(a)
 	}
 	sort.SliceStable(deeper, func(i, j int) bool { return deeper[i].depth > deeper[j].depth })
@@ -106,9 +106,11 @@ func randomRing(rng *rand.Rand, space id.Space) *Ring {
 			r.rows[i], r.hasRow[i] = pick("row", all), true
 		}
 	}
+	var aux []wire.Contact
 	for i := 0; i < rng.Intn(9); i++ {
-		r.aux = append(r.aux, pick("aux", all))
+		aux = append(aux, pick("aux", all))
 	}
+	r.SetAux(aux)
 	return r
 }
 
@@ -167,9 +169,11 @@ func BenchmarkCandidatesPastry(b *testing.B) {
 		x = x&^low | rng.Uint64()&low
 		r.rows[l], r.hasRow[l] = contact(id.ID(x)), true
 	}
+	var aux []wire.Contact
 	for i := 0; i < 8; i++ {
-		r.aux = append(r.aux, contact(id.ID(rng.Uint64()&(space.Size()-1))))
+		aux = append(aux, contact(id.ID(rng.Uint64()&(space.Size()-1))))
 	}
+	r.SetAux(aux)
 	targets := make([]id.ID, 256)
 	for i := range targets {
 		targets[i] = id.ID(rng.Uint64() & (space.Size() - 1))

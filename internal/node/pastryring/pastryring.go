@@ -6,7 +6,7 @@
 // extension, equal-prefix numeric progress — with the paper's auxiliary
 // neighbors spliced into the prefix rules, and ownership is numeric
 // closeness with ties toward the predecessor side, the same convention
-// internal/pastry's oracle and internal/pastryproto use.
+// internal/pastry's oracle uses.
 //
 // Wire footprint: the geometry owns TRowExchange/TRowExchangeResp (a
 // peer's populated prefix-table rows; the join walk collects one per
@@ -15,9 +15,8 @@
 // announces itself by firing one-way probes at everyone it learned of).
 // Lookups ride the runtime's protocol-neutral TFindSucc.
 //
-// The paired aux maintainer wraps core.PastryMaintainer, the paper's
-// O(nkb) greedy selector for the prefix distance metric, rebuilt from
-// the rotating frequency window on each selection.
+// Aux selection uses the prefix distance metric (SelectAux: the paper's
+// O(nkb) greedy, or the Section IV-D DP under delay bounds).
 package pastryring
 
 import (
@@ -26,7 +25,6 @@ import (
 	"sync"
 
 	"peercache/internal/core"
-	"peercache/internal/freq"
 	"peercache/internal/id"
 	"peercache/internal/node/ring"
 	"peercache/internal/wire"
@@ -48,19 +46,20 @@ type Ring struct {
 	// sides, each sorted nearest-first, at most leafHalf entries.
 	leafCW, leafCCW []wire.Contact
 	// rows[l] holds a node whose id shares exactly l leading bits with
-	// self (binary digits: one slot per row, as in internal/pastryproto).
+	// self (binary digits: one slot per row, as in internal/pastry with
+	// DigitBits 1).
 	rows   []wire.Contact
 	hasRow []bool
 
-	aux []wire.Contact // auxiliary neighbors, the paper's A_s
+	ring.AuxSet // auxiliary neighbors, the paper's A_s; read without mu
 
 	nextRow uint       // round-robin cursor for RepairTable
 	rng     *rand.Rand // stabilize's gossip-partner pick; guarded by mu
 }
 
-// New builds the Pastry geometry and its greedy selection maintainer.
-// Pass it as node.Config.NewRing to run a Pastry node.
-func New(h ring.Host, o ring.Options) (ring.Routing, ring.AuxMaintainer, error) {
+// New builds the Pastry geometry. Pass it as node.Config.NewRing to run
+// a Pastry node.
+func New(h ring.Host, o ring.Options) (ring.Routing, error) {
 	space, self := h.Space(), h.Self()
 	r := &Ring{
 		h:        h,
@@ -72,20 +71,14 @@ func New(h ring.Host, o ring.Options) (ring.Routing, ring.AuxMaintainer, error) 
 		hasRow:   make([]bool, space.Bits()),
 		rng:      rand.New(rand.NewSource(int64(self.ID) + 1)),
 	}
-	a := &auxPolicy{
-		space:  space,
-		self:   self.ID,
-		k:      o.AuxCount,
-		window: freq.NewShared(o.WindowBuckets),
-	}
-	return r, a, nil
+	return r, nil
 }
 
 // Protocol implements ring.Routing.
 func (r *Ring) Protocol() string { return "pastry" }
 
 // Join enters the overlay by walking the runtime's iterative TFindSucc
-// toward the node's own id — exactly pastryproto's JOIN route — while
+// toward the node's own id — Pastry's JOIN route — while
 // collecting each path node's prefix-table rows with a TRowExchange and
 // the final (numerically closest) node's leaf set with a TLeafProbe.
 // The joiner then announces itself with one-way leaf probes to everyone
@@ -220,8 +213,9 @@ func (r *Ring) NextHop(target id.ID) (wire.Contact, bool) {
 			best, bestL, found = c, wl, true
 		}
 	}
+	aux := r.Aux()
 	r.eachEntry(candidate)
-	for _, a := range r.aux {
+	for _, a := range aux {
 		candidate(a)
 	}
 	if found {
@@ -238,7 +232,7 @@ func (r *Ring) NextHop(target id.ID) (wire.Contact, bool) {
 		}
 	}
 	r.eachEntry(progress)
-	for _, a := range r.aux {
+	for _, a := range aux {
 		progress(a)
 	}
 	if !found {
@@ -301,7 +295,7 @@ func (r *Ring) Candidates(target id.ID, max int) []wire.Contact {
 		}
 	}
 	r.eachEntry(visit)
-	for _, a := range r.aux {
+	for _, a := range r.Aux() {
 		visit(a)
 	}
 	return top.List()
@@ -367,7 +361,7 @@ func (r *Ring) HandleRequest(m *wire.Message, resp *wire.Message) bool {
 // are merged), then trade prefix-table rows with one random peer.
 // Gossiped candidates may themselves be stale, so each unknown one is
 // pinged before adoption — otherwise dead nodes keep circulating
-// between peers that drop and re-learn them (pastryproto's repair rule).
+// between peers that drop and re-learn them.
 func (r *Ring) Stabilize() {
 	for _, lf := range r.leafList() {
 		resp, err := r.h.Call(lf.Addr, &wire.Message{Type: wire.TLeafProbe})
@@ -540,43 +534,18 @@ func (r *Ring) Rows() map[uint]wire.Contact {
 	return out
 }
 
-// Aux returns a copy of the auxiliary set.
-func (r *Ring) Aux() []wire.Contact {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]wire.Contact(nil), r.aux...)
-}
-
-// HasAux reports whether x is in the auxiliary set.
-func (r *Ring) HasAux(x id.ID) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, a := range r.aux {
-		if a.ID == x {
-			return true
-		}
+// SelectAux implements ring.Routing under the binary prefix distance
+// b − LCP: core.SelectPastryGreedy, or core.SelectPastryQoS (bounds in
+// bit digits) when bounds are given.
+func (r *Ring) SelectAux(coreIDs []id.ID, peers []core.Peer, k int, bounds map[id.ID]uint) ([]id.ID, error) {
+	var res core.Result
+	var err error
+	if bounds == nil {
+		res, err = core.SelectPastryGreedy(r.space, coreIDs, peers, k)
+	} else {
+		res, err = core.SelectPastryQoS(r.space, coreIDs, peers, k, bounds)
 	}
-	return false
-}
-
-// SetAux installs the auxiliary neighbor set.
-func (r *Ring) SetAux(aux []wire.Contact) {
-	r.mu.Lock()
-	r.aux = append(aux[:0:0], aux...)
-	r.mu.Unlock()
-}
-
-// RemoveAux drops one auxiliary entry (its liveness ping failed).
-func (r *Ring) RemoveAux(dead id.ID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := r.aux[:0]
-	for _, a := range r.aux {
-		if a.ID != dead {
-			out = append(out, a)
-		}
-	}
-	r.aux = out
+	return res.Aux, err
 }
 
 // eachEntry visits every real table entry — both leaf sides, then the
@@ -756,59 +725,4 @@ func closer(space id.Space, a, b, key id.ID) bool {
 		return da < db
 	}
 	return space.Gap(a, key) < space.Gap(b, key)
-}
-
-// auxPolicy adapts core.PastryMaintainer to the ring.AuxMaintainer
-// contract. The maintainer's constructor validates core and peer sets
-// together, so rather than patching one incrementally the policy keeps
-// only the rotating frequency window and the last core set, and
-// rebuilds the maintainer from them on each Select — construction is
-// O(nb) against the selector's O(nkb), so nothing is lost. The runtime
-// serializes every call but Observe, which touches only the shared
-// window, so no locking here.
-type auxPolicy struct {
-	space  id.Space
-	self   id.ID
-	k      int
-	window *freq.Shared
-	core   []id.ID
-}
-
-func (a *auxPolicy) Observe(key id.ID) { a.window.Observe(key) }
-func (a *auxPolicy) Rotate()           { a.window.Rotate() }
-
-func (a *auxPolicy) SetCore(ids []id.ID) error {
-	a.core = append(ids[:0:0], ids...)
-	return nil
-}
-
-func (a *auxPolicy) Select() ([]id.ID, error) {
-	coreSet := make(map[id.ID]bool, len(a.core))
-	for _, c := range a.core {
-		coreSet[c] = true
-	}
-	var peers []core.Peer
-	for _, e := range a.window.Snapshot() {
-		if e.Count == 0 || e.Peer == a.self || coreSet[e.Peer] {
-			continue
-		}
-		peers = append(peers, core.Peer{ID: e.Peer, Freq: float64(e.Count)})
-	}
-	m, err := core.NewPastryMaintainer(a.space, a.core, peers, a.k)
-	if err != nil {
-		return nil, err // core.ErrNoNeighbors while there is nothing yet
-	}
-	return m.Select().Aux, nil
-}
-
-// SelectQoS implements ring.QoSSelector via the Section IV-D
-// required-subtree DP (core.SelectPastryQoS), with bounds expressed in
-// prefix-digit distance (bit digits, matching the maintainer's metric).
-func (a *auxPolicy) SelectQoS(cost func(id.ID) (float64, bool), bound func(id.ID) (uint, bool)) ([]id.ID, error) {
-	peers, bounds := core.QoSInstance(a.window.Snapshot(), a.self, a.core, cost, bound)
-	res, err := core.SelectPastryQoS(a.space, a.core, peers, a.k, bounds)
-	if err != nil {
-		return nil, err
-	}
-	return res.Aux, nil
 }

@@ -10,9 +10,9 @@ package node
 //     feature makes the bound-conformance assertion fail.
 //
 //   - TestQoSNoCostsEqualsUnconstrainedLive: property test (quick) that
-//     the geometries' SelectQoS with no costs and no bounds is
-//     objective-equal to their unconstrained Select — the live-path
-//     mirror of core's TestQoSEmptyBoundsEqualsUnconstrained.
+//     the runtime's QoS selection with no costs and no bounds is
+//     objective-equal to its unconstrained selection on every geometry —
+//     the live-path mirror of core's TestQoSEmptyBoundsEqualsUnconstrained.
 
 import (
 	"fmt"
@@ -52,7 +52,7 @@ var qosGeometries = []struct {
 // lookup path does.
 func observeKeys(n *Node, key id.ID, count int) {
 	for i := 0; i < count; i++ {
-		n.aux.Observe(key)
+		n.window.Observe(key)
 	}
 }
 
@@ -151,55 +151,18 @@ func TestAuxQoSBoundsRespected(t *testing.T) {
 	}
 }
 
-// quickHost is the minimal ring.Host the geometry factories need to
-// construct an auxPolicy (factories perform no I/O).
-type quickHost struct {
-	space id.Space
-	self  wire.Contact
-}
-
-func (h quickHost) Self() wire.Contact { return h.self }
-func (h quickHost) Space() id.Space    { return h.space }
-func (h quickHost) Call(addr string, req *wire.Message) (*wire.Message, error) {
-	return nil, fmt.Errorf("quickhost: no rpc")
-}
-func (h quickHost) Send(addr string, m *wire.Message) {}
-func (h quickHost) Resolve(target id.ID) (wire.Contact, int, error) {
-	return wire.Contact{}, 0, fmt.Errorf("quickhost: no resolve")
-}
-func (h quickHost) Note(c wire.Contact)                 {}
-func (h quickHost) AddrOf(x id.ID) (string, bool)       { return "", false }
-func (h quickHost) RTTOf(x id.ID) (time.Duration, bool) { return 0, false }
-
-// With every cost unknown and every bound absent, the live SelectQoS
-// must be objective-equal to the unconstrained Select on the same
-// observations — for random workloads and random core sets, on the
-// exact auxPolicy implementations recomputeAux drives.
+// With every cost unknown and every bound absent, the runtime's QoS
+// selection must be objective-equal to its unconstrained selection on
+// the same observations — for random workloads and random core sets,
+// through selectAux and each geometry's SelectAux.
 func TestQoSNoCostsEqualsUnconstrainedLive(t *testing.T) {
 	space := id.NewSpace(8)
 	self := wire.Contact{ID: 0, Addr: "mem/0"}
-	noCost := func(id.ID) (float64, bool) { return 0, false }
-	noBound := func(id.ID) (uint, bool) { return 0, false }
 
 	for _, g := range qosGeometries {
 		t.Run(g.name, func(t *testing.T) {
 			property := func(obs []uint8, coreRaw []uint8) bool {
-				_, aux, err := g.factory(quickHost{space: space, self: self}, ring.Options{
-					NeighborListLen: 4,
-					BucketSize:      4,
-					MaxLookupHops:   16,
-					AuxCount:        3,
-					WindowBuckets:   4,
-					DriftThreshold:  0.05,
-				})
-				if err != nil {
-					t.Fatalf("factory: %v", err)
-				}
-				qs, ok := aux.(ring.QoSSelector)
-				if !ok {
-					t.Fatalf("%s auxPolicy does not implement ring.QoSSelector", g.name)
-				}
-
+				n, fc := selectionNode(t, g.factory, space, self, 3)
 				coreSet := make(map[id.ID]bool)
 				var coreIDs []id.ID
 				for _, c := range coreRaw {
@@ -211,17 +174,17 @@ func TestQoSNoCostsEqualsUnconstrainedLive(t *testing.T) {
 					coreIDs = append(coreIDs, x)
 				}
 				sort.Slice(coreIDs, func(i, j int) bool { return coreIDs[i] < coreIDs[j] })
-				if err := aux.SetCore(coreIDs); err != nil {
-					t.Fatalf("SetCore(%v): %v", coreIDs, err)
-				}
+				fc.core = coreIDs
 				counts := make(map[id.ID]uint64)
 				for _, o := range obs {
-					aux.Observe(id.ID(o))
+					n.window.Observe(id.ID(o))
 					counts[id.ID(o)]++
 				}
 
-				qosAux, qosErr := qs.SelectQoS(noCost, noBound)
-				plainAux, plainErr := aux.Select()
+				n.SetAuxQoS(true)
+				qosAux, qosErr := n.selectAux()
+				n.SetAuxQoS(false)
+				plainAux, plainErr := n.selectAux()
 				if (qosErr != nil) != (plainErr != nil) {
 					t.Logf("error mismatch: qos=%v plain=%v (obs=%v core=%v)", qosErr, plainErr, obs, coreRaw)
 					return false
@@ -230,7 +193,7 @@ func TestQoSNoCostsEqualsUnconstrainedLive(t *testing.T) {
 					return true // both agree there is nothing to select
 				}
 
-				// Same filter the policies apply: observed, not self, not core.
+				// Same filter the runtime applies: observed, not self, not core.
 				var peers []core.Peer
 				for x, c := range counts {
 					if x == self.ID || coreSet[x] {

@@ -2,7 +2,7 @@ package node
 
 // Conformance tests for the lookup-side half of QoS routing:
 // qosProbeIndex's proximity route selection. The selection half
-// (recomputeAux through ring.QoSSelector) is covered in qos_test.go;
+// (selectAux through the geometry's SelectAux) is covered in qos_test.go;
 // this file pins the probe-scheduling rules the race loop relies on:
 //
 //   - within the eligible window (short prefix, distance within ~2× of

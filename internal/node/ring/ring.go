@@ -12,24 +12,22 @@
 // list + finger table + `(pred, self]` ownership, the default),
 // pastryring (leaf set + prefix routing table + numeric-closeness
 // ownership), and kadring (XOR-metric k-buckets + closest-node
-// ownership). Each pairs its Routing with an AuxMaintainer that turns
-// the node's observed lookup frequencies into the paper's auxiliary
-// neighbor set — core.ChordMaintainer for the ring distance metric,
-// core.PastryMaintainer for the prefix metric, core.KademliaMaintainer
-// for the XOR bucket ladder — so the peer-caching layer rides on top
-// of any geometry unchanged.
+// ownership). The paper's auxiliary-neighbor layer rides on top of any
+// of them: the runtime observes lookup frequencies, triggers selection
+// and maps the chosen ids to contacts, and a geometry supplies only its
+// distance metric, through SelectAux, and embeds an AuxSet to hold the
+// installed set.
 //
-// Adding a third geometry means implementing Routing (and, if the
-// paper's selection framework has a metric for it, an AuxMaintainer)
-// and passing its Factory as node.Config.NewRing; the runtime, data
-// plane, cluster harness, and cmd/p2pnode need no changes. See
-// DESIGN.md's "Routing/AuxMaintainer contract" section for the
-// step-by-step recipe.
+// Adding a geometry means implementing Routing and passing its Factory
+// as node.Config.NewRing; the runtime, data plane, cluster harness, and
+// cmd/p2pnode need no changes. See DESIGN.md's "Routing contract"
+// section for the step-by-step recipe.
 package ring
 
 import (
 	"time"
 
+	"peercache/internal/core"
 	"peercache/internal/id"
 	"peercache/internal/wire"
 )
@@ -74,12 +72,6 @@ type Options struct {
 	BucketSize int
 	// MaxLookupHops bounds join walks and lookups.
 	MaxLookupHops int
-	// AuxCount is k, the auxiliary-neighbor budget.
-	AuxCount int
-	// WindowBuckets and DriftThreshold parameterize the AuxMaintainer's
-	// frequency window and recomputation trigger.
-	WindowBuckets  int
-	DriftThreshold float64
 	// RepairBatch is how many long-range table entries one RepairTable
 	// call refreshes (0 or 1: one per call, the historical behavior).
 	// Chord honors it — each extra finger costs one iterative lookup per
@@ -95,8 +87,8 @@ type Options struct {
 // implementations guard their state with their own lock and never
 // perform I/O except through the Host — and never from HandleRequest.
 type Routing interface {
-	// Protocol names the geometry ("chord", "pastry"); surfaced in
-	// metrics and logs.
+	// Protocol names the geometry ("chord", "pastry", "kademlia");
+	// surfaced in metrics and logs.
 	Protocol() string
 
 	// Join integrates the node into an existing overlay through a peer
@@ -190,72 +182,33 @@ type Routing interface {
 
 	// CoreIDs returns the geometry's core neighbor set N_s (eq. 1 of
 	// the paper) — every peer the table routes through, self excluded —
-	// fed to the AuxMaintainer before each selection.
+	// which aux selection works around.
 	CoreIDs() []id.ID
 
+	// SelectAux is the geometry's half of the paper's selection layer:
+	// the k auxiliary ids minimizing Σ f(v)·d(v, core ∪ A) under the
+	// geometry's distance metric, for the observed peers (core members
+	// and self already filtered out). With bounds nil it runs the
+	// unconstrained selector; with bounds non-nil — even empty — the
+	// delay-bound-constrained one (the paper's Section IV-D for the
+	// prefix metrics, V-C for Chord), where bounds[v] is a hard distance
+	// bound for v and 0 forces a direct pointer. It returns
+	// core.ErrNoNeighbors while there is nothing to select from and an
+	// error wrapping core.ErrInfeasible when the bounds cannot all be
+	// met with k pointers. It must be a pure function of its arguments.
+	SelectAux(coreIDs []id.ID, peers []core.Peer, k int, bounds map[id.ID]uint) ([]id.ID, error)
+
 	// Aux, HasAux, SetAux, and RemoveAux manage the installed auxiliary
-	// neighbor set A_s. The runtime owns selection and liveness; the
-	// geometry only stores the set and splices it into NextHop. Aux
-	// returns a copy; HasAux is the membership test the lookup path
-	// makes per resolved lookup, without one.
+	// neighbor set A_s; every geometry gets them by embedding an AuxSet.
+	// The runtime owns selection and liveness; the geometry only splices
+	// the set into NextHop and Candidates, and retires an entry in its
+	// own DropPeer.
 	Aux() []wire.Contact
 	HasAux(x id.ID) bool
 	SetAux(aux []wire.Contact)
 	RemoveAux(x id.ID)
 }
 
-// AuxMaintainer is the selection policy behind a geometry's auxiliary
-// set: it accumulates the node's lookup-frequency observations and
-// recomputes the optimal k auxiliary ids on demand. The runtime
-// serializes SetCore, Select and Rotate under one mutex, but calls
-// Observe from every lookup's goroutine without it — a client op must
-// not wait out a selection — so an implementation keeps its frequency
-// window safe for an Observe beside any other call (freq.Shared) and
-// needs no other locking.
-type AuxMaintainer interface {
-	// Observe records one lookup for key (the key's own ring position,
-	// not its owner's id — see node.Lookup).
-	Observe(key id.ID)
-	// SetCore replaces the core neighbor set the selection works
-	// around. The runtime deduplicates no-op updates before calling.
-	SetCore(core []id.ID) error
-	// Select returns the currently optimal auxiliary ids. It returns
-	// core.ErrNoNeighbors while there is nothing to select from (no
-	// core and nothing observed); the runtime treats that as "keep
-	// waiting", not as failure.
-	Select() ([]id.ID, error)
-	// Rotate ages the frequency window one bucket (called once per aux
-	// recomputation tick).
-	Rotate()
-}
-
-// QoSSelector is the optional AuxMaintainer extension for geometries
-// whose selection framework has a delay-bound-constrained variant (the
-// paper's Section IV-D for the prefix metrics, V-C for Chord; all three
-// shipped geometries implement it). The runtime probes for it with a
-// type assertion when Config.AuxQoS is on and serializes calls exactly
-// as it does the base interface.
-type QoSSelector interface {
-	// SelectQoS is Select with a latency model. cost returns the
-	// runtime's relative latency weight for a peer (any unit, as long
-	// as it is consistent — the live node feeds smoothed RTTs); peers
-	// without a cost (false) weigh 1. Each observed peer's frequency is
-	// multiplied by its cost, so the objective Σ f(v)·d(v, N∪A) becomes
-	// expected *latency*, not expected hops. bound returns a hard
-	// geometry-distance bound for a peer (true to constrain it): the
-	// selected set must bring that peer within the bound — bound 0
-	// forces a direct pointer. A nil bound callback constrains nothing
-	// — the cost-weighted unconstrained selection (the runtime's
-	// infeasibility fallback). Returns an error wrapping
-	// core.ErrInfeasible when the bounds cannot all be met with the
-	// configured aux budget; the caller decides the fallback.
-	//
-	// With every cost false and every bound false, SelectQoS must
-	// return a set with the same objective value as Select — pinned by
-	// the live-path property test in internal/node.
-	SelectQoS(cost func(id.ID) (float64, bool), bound func(id.ID) (uint, bool)) ([]id.ID, error)
-}
-
 // Factory builds a geometry bound to a Host. It must not perform
 // network I/O: the transport is not running yet when it is called.
-type Factory func(h Host, o Options) (Routing, AuxMaintainer, error)
+type Factory func(h Host, o Options) (Routing, error)
