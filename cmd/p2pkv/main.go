@@ -1,7 +1,7 @@
 // Command p2pkv puts and gets items against a running overlay, without
 // joining it: the client resolves the key's owner through any ring
 // member and talks to the owner directly, from an anonymous UDP
-// endpoint (internal/kv).
+// endpoint (node.Client).
 //
 //	p2pkv -node 127.0.0.1:7000 put greeting "hello world"
 //	p2pkv -node 127.0.0.1:7000 get greeting
@@ -21,7 +21,7 @@ import (
 	"time"
 
 	"peercache/internal/id"
-	"peercache/internal/kv"
+	"peercache/internal/node"
 )
 
 func main() {
@@ -65,12 +65,10 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	client, err := kv.Dial(kv.Config{
-		Space:     space,
-		Bootstrap: *nodeAddr,
-		Timeout:   *timeout,
-		Retries:   *retries,
-		OwnerRead: *ownerRd,
+	client, err := node.Dial(*nodeAddr, node.Config{
+		Space:      space,
+		RPCTimeout: *timeout,
+		RPCRetries: *retries,
 	})
 	if err != nil {
 		return err
@@ -82,19 +80,23 @@ func run(args []string, out io.Writer) error {
 		if fs.NArg() != 3 {
 			return fmt.Errorf("put needs <key> <value>")
 		}
-		owner, version, err := client.Put(key, []byte(fs.Arg(2)))
+		res, err := client.Put(key, []byte(fs.Arg(2)))
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "stored %q (id %d) at node %d (%s), version %d\n",
-			keyArg, key, owner.ID, owner.Addr, version)
+			keyArg, key, res.Owner.ID, res.Owner.Addr, res.Version)
 	case "get":
-		value, version, err := client.Get(key)
+		read := client.FindValue
+		if *ownerRd {
+			read = client.Get
+		}
+		res, err := read(key)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "%s\n", value)
-		fmt.Fprintf(out, "# id %d, version %d\n", key, version)
+		fmt.Fprintf(out, "%s\n", res.Value)
+		fmt.Fprintf(out, "# id %d, version %d\n", key, res.Version)
 	case "resolve":
 		owner, hops, err := client.Resolve(key)
 		if err != nil {

@@ -64,7 +64,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		auxQoSBound = fs.Duration("aux-qos-bound", 0, "QoS delay bound on measured RTT (0 uses the 100ms default; negative disables the bound, keeping cost weighting only)")
 		rpcTimeout  = fs.Duration("rpc-timeout", 500*time.Millisecond, "per-attempt RPC timeout")
 		statsEvery  = fs.Duration("stats-every", 10*time.Second, "status line period (0 disables)")
-		storeShards = fs.Int("store-shards", 0, "item-store lock shards, rounded up to a power of two (0 uses the default of 16)")
 		metricsAddr = fs.String("metrics-addr", "", "serve node metrics as JSON over HTTP at this address (empty disables)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -104,7 +103,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		AuxQoS:           *auxQoS,
 		AuxQoSDelayBound: *auxQoSBound,
 		RPCTimeout:       *rpcTimeout,
-		StoreShards:      *storeShards,
 		// The daemon is the real-network deployment: select the UDP
 		// provider explicitly (tests and simulators pick memnet).
 		Listen: node.ListenUDP,

@@ -246,8 +246,8 @@ func TestMetricsReportStoreAndAuxNeighbors(t *testing.T) {
 	if pb.Store.ItemsOwned != 1 || pb.Store.PutsServed < 1 || pb.Store.GetsServed < 1 {
 		t.Fatalf("b store stats %+v", pb.Store)
 	}
-	if pa.Store.Shards != 16 || pb.Store.Shards != 16 {
-		t.Fatalf("store shard gauges %d/%d, want the default 16", pa.Store.Shards, pb.Store.Shards)
+	if pa.Store.Shards != 1 || pb.Store.Shards != 1 {
+		t.Fatalf("store shard gauges %d/%d, want the one lock domain", pa.Store.Shards, pb.Store.Shards)
 	}
 
 	// Both sides exchanged real datagrams (join, put, get), so the

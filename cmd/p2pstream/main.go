@@ -26,7 +26,7 @@ import (
 
 	"peercache/internal/chunk"
 	"peercache/internal/id"
-	"peercache/internal/kv"
+	"peercache/internal/node"
 )
 
 func main() {
@@ -77,20 +77,34 @@ func run(args []string, out, msg io.Writer) error {
 		progress = io.Discard
 	}
 
-	client, err := kv.Dial(kv.Config{
-		Space:     space,
-		Bootstrap: *nodeAddr,
-		Timeout:   *timeout,
-		Retries:   *retries,
+	client, err := node.Dial(*nodeAddr, node.Config{
+		Space:      space,
+		RPCTimeout: *timeout,
+		RPCRetries: *retries,
 	})
 	if err != nil {
 		return err
 	}
 	defer client.Close()
 
-	opts := kv.LargeOptions{ChunkSize: *chunkSize, Window: *window, Prefetch: *prefetch}
-	if *prefetch == 0 {
-		opts.Prefetch = -1 // kv's 0 means "default": -1 is explicit on-demand
+	// Chunks are ordinary puts and any-copy reads; a copy that fails its
+	// digest is re-read from the key's owner.
+	store, err := chunk.New(chunk.FuncKV{
+		PutFunc: func(key id.ID, value []byte) error {
+			_, err := client.Put(key, value)
+			return err
+		},
+		GetFunc: func(key id.ID) ([]byte, int, error) {
+			res, err := client.FindValue(key)
+			return res.Value, res.Hops, err
+		},
+	}, chunk.Options{Space: space, ChunkSize: *chunkSize, Window: *window, Prefetch: *prefetch,
+		StrongGet: func(key id.ID) ([]byte, int, error) {
+			res, err := client.Get(key)
+			return res.Value, res.Hops, err
+		}})
+	if err != nil {
+		return err
 	}
 
 	switch cmd {
@@ -111,7 +125,7 @@ func run(args []string, out, msg io.Writer) error {
 			return fmt.Errorf("reading input: %w", err)
 		}
 		start := time.Now()
-		m, err := client.PutLarge(key, value, opts)
+		m, err := store.PutObject(key, value)
 		if err != nil {
 			return err
 		}
@@ -119,7 +133,7 @@ func run(args []string, out, msg io.Writer) error {
 		fmt.Fprintf(progress, "stored %q (id %d): %d bytes in %d chunks of %d, %.2f MB/s\n",
 			keyArg, key, m.TotalLen, m.Chunks(), m.ChunkSize, mbps(int64(m.TotalLen), elapsed))
 	case "cat":
-		r, err := client.OpenStream(key, opts)
+		r, err := store.NewReader(key)
 		if err != nil {
 			return err
 		}
@@ -134,7 +148,7 @@ func run(args []string, out, msg io.Writer) error {
 			keyArg, key, st.BytesRead, st.Chunks, st.TTFB.Round(time.Microsecond),
 			mbps(st.BytesRead, time.Since(start)), st.WaitChunks, st.Chunks)
 	case "stat":
-		r, err := client.OpenStream(key, opts)
+		r, err := store.NewReader(key)
 		if err != nil {
 			return err
 		}

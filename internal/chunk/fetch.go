@@ -8,11 +8,10 @@ import (
 	"peercache/internal/id"
 )
 
-// KV is the data-plane surface the chunk layer drives. Two adapters
-// exist today: internal/kv wraps its anonymous client (Resolve + owner
-// RPC per key), and the harnesses wrap node.Node directly — typically
-// over FindValue, whose α-raced any-copy walk gives chunk reads the
-// owner+replica fallback for free. Implementations must be safe for
+// KV is the data-plane surface the chunk layer drives. The adapters in
+// tree wrap internal/node — cmd/p2pstream its anonymous Client, the
+// harnesses a Node — over FindValue, whose α-raced any-copy walk gives
+// chunk reads the owner+replica fallback for free. Implementations must be safe for
 // concurrent use; the fetch engine calls Get from Window goroutines.
 type KV interface {
 	// Put stores value under key at the key's owner.
@@ -52,7 +51,7 @@ type Options struct {
 	// fetched, warming the origin's frequency observer and owner-hint
 	// cache before the read arrives. 0 (the default here) fetches
 	// strictly on demand; user-facing layers pick their own default
-	// (kv.OpenStream and cmd/p2pstream use 2).
+	// (cmd/p2pstream uses 2).
 	Prefetch int
 	// Retries is how many times one chunk fetch is retried after an
 	// error or digest mismatch (default 2). Each retry re-resolves the

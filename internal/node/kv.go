@@ -64,10 +64,8 @@ func (n *Node) Put(key id.ID, value []byte) (PutResult, error) {
 	if uint64(key) >= n.cfg.Space.Size() {
 		return PutResult{}, fmt.Errorf("node: key %d outside %d-bit space", key, n.cfg.Space.Bits())
 	}
-	if len(value) > wire.MaxValueLen {
-		return PutResult{}, fmt.Errorf(
-			"node: put %d: %w: value is %d bytes, limit %d — chunk large objects (internal/chunk, kv.PutLarge, p2pstream)",
-			key, wire.ErrValueLen, len(value), wire.MaxValueLen)
+	if err := checkValueLen(key, value); err != nil {
+		return PutResult{}, err
 	}
 	n.putsIssued.Add(1)
 	if n.cache != nil {
@@ -93,6 +91,16 @@ func (n *Node) Put(key id.ID, value []byte) (PutResult, error) {
 		return PutResult{}, fmt.Errorf("node: put %d at %v: %w", key, owner, ErrStoreFull)
 	}
 	return PutResult{Owner: owner, Version: resp.Version, Hops: hops}, nil
+}
+
+// checkValueLen refuses a single value above the wire limit; the chunk
+// layer is the way to move larger objects.
+func checkValueLen(key id.ID, value []byte) error {
+	if len(value) <= wire.MaxValueLen {
+		return nil
+	}
+	return fmt.Errorf("node: put %d: %w: value is %d bytes, limit %d — chunk large objects (internal/chunk, p2pstream)",
+		key, wire.ErrValueLen, len(value), wire.MaxValueLen)
 }
 
 // Get resolves key to its value: first from the local store (this node
@@ -210,10 +218,14 @@ func (n *Node) handleFindValue(m *wire.Message, resp *wire.Message) {
 		}
 	}
 	pool = append(pool, n.rt.Candidates(m.Key, wire.MaxClosest)...)
+	// A ring member is never named back to itself. An anonymous reader's
+	// zero From names nobody, and filtering its id 0 would hide the
+	// member with id 0 from every client.
+	querier := m.From.Addr != ""
 	seen := make(map[id.ID]bool, len(pool))
 	closest := make([]wire.Contact, 0, wire.MaxClosest)
 	for _, c := range pool {
-		if c.IsZero() || c.Addr == "" || c.ID == m.From.ID || seen[c.ID] {
+		if c.IsZero() || c.Addr == "" || (querier && c.ID == m.From.ID) || seen[c.ID] {
 			continue
 		}
 		seen[c.ID] = true

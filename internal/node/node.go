@@ -2,23 +2,28 @@
 // simulators: a real datagram-based overlay node hosting the paper's
 // peer-caching layer. Where the simulators exchange messages inside
 // internal/sim's virtual clock, a node.Node opens a datagram endpoint,
-// runs maintenance protocol rounds as goroutine tickers against
-// wall-clock time, answers iterative find-successor steps from peers,
-// and — the point of the exercise — observes its own lookup traffic in
-// a frequency counter and periodically recomputes the optimal auxiliary
+// runs maintenance protocol rounds on its Scheduler against wall-clock
+// time, answers iterative find-successor steps from peers, and — the
+// point of the exercise — observes its own lookup traffic in a
+// frequency counter and periodically recomputes the optimal auxiliary
 // neighbor set, splicing the result into every routing decision it
 // makes or answers.
 //
 // The routing geometry is pluggable: the runtime here owns the
-// transport, RPC correlation, the iterative lookup driver, the kv data
-// plane, replication, the contact-address cache, and the tickers, while
-// everything protocol-specific lives behind the ring.Routing interface
-// (internal/node/ring). Chord (internal/node/chordring, the default),
-// Pastry (internal/node/pastryring) and Kademlia (internal/node/kadring)
+// transport, RPC correlation, the iterative lookup driver (lookup.go),
+// the kv data plane, replication, the contact-address cache, and the
+// maintenance jobs, while everything protocol-specific lives behind the
+// ring.Routing interface (internal/node/ring). Chord
+// (internal/node/chordring, the default), Pastry
+// (internal/node/pastryring) and Kademlia (internal/node/kadring)
 // implement it today; Config.NewRing selects the geometry. The paper's
 // auxiliary-neighbor layer is the runtime's too — one frequency window,
 // one recomputation trigger, one installed set per node — and a
 // geometry contributes only its distance metric (Routing.SelectAux).
+//
+// Dial opens the anonymous Client (client.go): the same transport and
+// lookup driver without a ring identity, for reading and writing the
+// overlay from outside it.
 //
 // The transport is equally pluggable: everything here depends only on
 // the PacketConn contract (packetconn.go). Production nodes run over
@@ -31,7 +36,7 @@
 // requests inline (handlers only touch the mutex-guarded routing state
 // and write one reply datagram, so the read loop never blocks on
 // protocol work); responses are correlated to blocked RPC callers
-// through an inflight map keyed by MsgID. The maintenance loops and any
+// through an inflight map keyed by MsgID. The maintenance jobs and any
 // number of application Lookup calls run on their own goroutines and
 // issue synchronous RPCs with per-call timeouts and bounded retry.
 package node
@@ -40,7 +45,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -146,12 +150,6 @@ type Config struct {
 	// StoreCapacity bounds the item store, owned and replica items
 	// together (default 4096). A full store rejects new keys.
 	StoreCapacity int
-	// StoreShards is the number of prefix-sharded lock domains in the
-	// item store (default 16). Rounded up to a power of two and clamped
-	// to the id space; keys partition by their top log2(shards)
-	// identifier bits, so concurrent writers on distant keys never
-	// contend on one mutex.
-	StoreShards int
 	// StoreTTL expires store items that have not been written or
 	// replica-refreshed within it (default 0: items never expire).
 	StoreTTL time.Duration
@@ -251,12 +249,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.StoreCapacity < 0 {
 		return c, fmt.Errorf("node: negative store capacity %d", c.StoreCapacity)
 	}
-	if c.StoreShards == 0 {
-		c.StoreShards = 16
-	}
-	if c.StoreShards < 0 {
-		return c, fmt.Errorf("node: negative store shard count %d", c.StoreShards)
-	}
 	if c.StoreTTL < 0 {
 		return c, fmt.Errorf("node: negative store TTL %v", c.StoreTTL)
 	}
@@ -348,7 +340,8 @@ type Metrics struct {
 	ItemsOwned, ItemsReplica, ItemsCached int
 	// Alpha is the lookup driver's live probe concurrency.
 	Alpha int
-	// StoreShards is the item store's lock-domain count.
+	// StoreShards is the item store's lock-domain count (1: one map
+	// under one mutex).
 	StoreShards int
 }
 
@@ -362,6 +355,9 @@ type Node struct {
 	// rt is the routing geometry; everything protocol-specific
 	// (successors vs. leaves, fingers vs. prefix rows) lives behind it.
 	rt ring.Routing
+	// lk is the iterative lookup driver, probing through tr and ranking
+	// with rt.
+	lk lookup
 
 	// window holds the lookup-frequency observations aux selection
 	// runs on (Section III's "past history of accesses within a time
@@ -469,7 +465,7 @@ func Start(cfg Config) (*Node, error) {
 		window: freq.NewShared(auxWindowBuckets),
 	}
 	n.auxQoS.Store(cfg.AuxQoS)
-	n.store = newStore(cfg.StoreCapacity, cfg.StoreTTL, cfg.StoreShards, cfg.Space.Bits())
+	n.store = newStore(cfg.StoreCapacity, cfg.StoreTTL)
 	if cfg.ItemCacheCapacity > 0 {
 		n.cache = itemcache.NewTTL[cachedCopy](cfg.ItemCacheCapacity, cfg.ItemCacheTTL)
 	}
@@ -488,6 +484,8 @@ func Start(cfg Config) (*Node, error) {
 		conn.Close()
 		return nil, err
 	}
+	n.lk = newLookup(n.tr, n.rt, cfg)
+	n.lk.note, n.lk.rtt = n.noteContact, n.ContactRTT
 	n.tr.start()
 
 	n.every(cfg.StabilizeEvery, n.stabilize)
@@ -669,7 +667,7 @@ func (n *Node) Metrics() Metrics {
 		ItemsReplica:      replicas,
 		ItemsCached:       cached,
 		Alpha:             n.cfg.LookupAlpha,
-		StoreShards:       n.store.shardCount(),
+		StoreShards:       storeShards,
 	}
 }
 
@@ -819,281 +817,25 @@ func (n *Node) handle(m *wire.Message, src string) {
 // count is the winning response's path depth on success (so a racing
 // lookup reports the length of the path that resolved the key, directly
 // comparable to the serial walk's RPC count) and the number of probes
-// launched on failure; at α=1 both equal the pre-racing serial count
-// exactly.
+// launched on failure. The Candidates contract makes Candidates(target,
+// 1) exactly NextHop's pick, so at α=1 both equal the serial walk's
+// count exactly.
 func (n *Node) FindSuccessor(target id.ID) (wire.Contact, int, error) {
-	cur, done := n.rt.NextHop(target)
-	if done {
+	if cur, done := n.rt.NextHop(target); done {
 		return cur, 0, nil
 	}
-	var seed []wire.Contact
-	if n.cfg.LookupAlpha == 1 {
-		// Exactly the serial walk's first probe; Candidates would pick
-		// the same contact first, but seeding from NextHop keeps α=1
-		// byte-for-byte faithful to the old driver.
-		seed = []wire.Contact{cur}
-	} else {
-		seed = n.rt.Candidates(target, n.cfg.LookupAlpha)
-	}
-	out, err := n.race(target, seed, false)
+	out, err := n.race(target, n.rt.Candidates(target, n.cfg.LookupAlpha), false)
 	return out.owner, out.hops, err
 }
 
-// raceOutcome is one settled α-parallel lookup: the resolving contact
-// (plus, in value mode, the value it answered with) and the hop count.
-type raceOutcome struct {
-	owner    wire.Contact
-	value    []byte
-	version  uint64
-	hasValue bool
-	hops     int
-}
-
-// probeResult carries one probe's answer back to the race loop.
-type probeResult struct {
-	peer  wire.Contact
-	depth int
-	resp  *wire.Message
-	err   error
-}
-
-// frontierEntry is one unprobed lookup candidate: the contact, its
-// geometry distance to the target (the frontier's sort key), and the
-// path depth its probe would report.
-type frontierEntry struct {
-	c     wire.Contact
-	dist  uint64
-	depth int
-}
-
-// qosProbeWindow caps how many frontier candidates an RTT-aware lookup
-// step inspects. The frontier is distance-sorted, so anything past a
-// short prefix is a worse routing step regardless of link cost.
-const qosProbeWindow = 4
-
-// qosProbeIndex picks the frontier index to probe next when the node
-// routes QoS-aware (proximity route selection, the lookup-side half of
-// the paper's delay model): among the first qosProbeWindow candidates
-// whose geometry distance is within ~2× the best remaining distance —
-// so a cheap-link detour still halves the gap and the walk keeps its
-// O(log n) convergence — the one with the lowest measured smoothed
-// RTT. Candidates without a measurement are skipped (no opinion), and
-// if nothing in the window is measured the geometry's own first pick
-// stands, so the mode degrades to plain greedy exactly where the RTT
-// plane has no data. The 2× test is done as dist>>1 <= best to stay
-// overflow-safe on full-width ring distances.
-func qosProbeIndex(frontier []frontierEntry, rtt func(id.ID) (time.Duration, bool)) int {
-	best := -1
-	var bestRTT time.Duration
-	limit := len(frontier)
-	if limit > qosProbeWindow {
-		limit = qosProbeWindow
-	}
-	for i := 0; i < limit; i++ {
-		if frontier[i].dist>>1 > frontier[0].dist {
-			break // sorted frontier: every later entry is farther still
-		}
-		if d, ok := rtt(frontier[i].c.ID); ok && (best < 0 || d < bestRTT) {
-			best, bestRTT = i, d
-		}
-	}
-	if best < 0 {
-		return 0
-	}
-	return best
-}
-
-// race drives one iterative lookup with up to LookupAlpha probes in
-// flight. The frontier holds unprobed candidates ordered by the
-// geometry's Distance (ties by id); each launched probe carries its
-// path depth — seed contacts are depth 1, contacts learned from a
-// depth-d response are depth d+1 — and the first response that resolves
-// the target wins with hops equal to its depth. The deferred close of
-// the cancel channel aborts the losing probes; their callCancel
-// deregisters each inflight entry, and a response straggling in later
-// finds no waiter and is dropped, so cancelled probes leak nothing (see
-// transport.callCancel).
-//
-// Launches are hedged, not eager: every response or probe failure
-// launches one follow-up probe immediately (the chain a serial walk
-// would make), and an *additional* probe launches only when no event
-// has arrived for RPCTimeout/4. On a healthy network the first probe
-// of each step answers well inside the stagger, so traffic stays at
-// the serial walk's one-probe-per-step; under loss or a stalled peer
-// the hedge fires long before the full timeout-and-retry budget burns,
-// which is where racing wins. Eagerly filling all α slots per step
-// triples healthy-path traffic for nothing — and worse, one scheduling
-// stall then times out α probes at once, and the resulting DropPeer
-// burst can collapse a chord node's entire successor list, after which
-// it answers lookups as a ring of one and overclaims keys it does not
-// own.
-//
-// With AuxQoS on, each launch routes by proximity instead of taking
-// the frontier head blindly: qosProbeIndex may promote a near-in-
-// distance candidate with a known-cheap link over the geometry's
-// strict pick (see its comment for the convergence argument). The
-// choice is latched once per lookup so a mid-walk SetAuxQoS flip
-// cannot mix policies within one walk.
-//
-// Failure reporting mirrors the old serial driver: a probe error
-// retires the peer via DropPeer and is remembered verbatim, and when
-// the frontier drains without an answer the lookup fails with (in
-// precedence order) the last probe error, the hop-budget error, a
-// not-found error in value mode, or a no-progress error naming the
-// last peer that answered.
+// race runs one walk on the node's lookup driver (lookup.go), latching
+// the QoS routing choice for the whole walk, and counts an aux hit.
 func (n *Node) race(target id.ID, seed []wire.Contact, valueMode bool) (raceOutcome, error) {
-	alpha := n.cfg.LookupAlpha
-	var frontier []frontierEntry
-	queried := map[id.ID]bool{n.self.ID: true}
-	push := func(c wire.Contact, depth int) {
-		if c.IsZero() || c.Addr == "" || queried[c.ID] {
-			return
-		}
-		queried[c.ID] = true
-		d := n.rt.Distance(target, c.ID)
-		if valueMode {
-			// Copies live at the key's owner and the owner's replica
-			// successors — on an asymmetric ring metric (chord's
-			// clockwise gap) those rank as the FARTHEST candidates,
-			// because the metric measures routing progress toward the
-			// key and a holder sits just past it. Ranking by whichever
-			// side of the key is nearer keeps the predecessor walk
-			// converging while probing named holders immediately,
-			// instead of draining every predecessor in the ring (and
-			// the hop budget with it) before the one contact that can
-			// answer. Symmetric metrics (XOR, circular) are unchanged.
-			if rd := n.rt.Distance(c.ID, target); rd < d {
-				d = rd
-			}
-		}
-		i := sort.Search(len(frontier), func(i int) bool {
-			return frontier[i].dist > d || (frontier[i].dist == d && frontier[i].c.ID > c.ID)
-		})
-		frontier = append(frontier, frontierEntry{})
-		copy(frontier[i+1:], frontier[i:])
-		frontier[i] = frontierEntry{c: c, dist: d, depth: depth}
-	}
-	for _, c := range seed {
-		push(c, 1)
-	}
-	makeReq := func() *wire.Message {
-		// A fresh message per probe: callCancel stamps MsgID and From,
-		// so concurrent probes must not share one.
-		if valueMode {
-			return &wire.Message{Type: wire.TFindValue, Key: target}
-		}
-		return n.rt.LookupRequest(target)
-	}
-	results := make(chan probeResult, alpha)
-	cancel := make(chan struct{})
-	defer close(cancel)
-	var (
-		inflight int
-		hops     int
-		lastErr  error
-		lastPeer wire.Contact
-	)
-	qosRoute := n.auxQoS.Load()
-	launch := func() {
-		if inflight < alpha && len(frontier) > 0 && hops < n.cfg.MaxLookupHops {
-			i := 0
-			if qosRoute {
-				i = qosProbeIndex(frontier, n.ContactRTT)
-			}
-			e := frontier[i]
-			frontier = append(frontier[:i], frontier[i+1:]...)
-			hops++
-			inflight++
-			go func(e frontierEntry) {
-				resp, err := n.tr.callCancel(e.c.Addr, makeReq(), n.cfg.RPCTimeout, n.cfg.RPCRetries, cancel)
-				results <- probeResult{peer: e.c, depth: e.depth, resp: resp, err: err}
-			}(e)
-		}
-	}
-	stagger := n.cfg.RPCTimeout / 4
-	if stagger <= 0 {
-		stagger = time.Millisecond
-	}
-	hedge := time.NewTimer(stagger)
-	defer hedge.Stop()
-	launch()
-	for inflight > 0 {
-		if !hedge.Stop() {
-			select {
-			case <-hedge.C:
-			default:
-			}
-		}
-		hedge.Reset(stagger)
-		var r probeResult
-		select {
-		case r = <-results:
-		case <-hedge.C:
-			launch()
-			continue
-		}
-		inflight--
-		lastPeer = r.peer
-		if r.err != nil {
-			// The contact is unreachable: retire it from the routing
-			// state so the maintenance loops repair around it.
-			n.rt.DropPeer(r.peer.ID)
-			lastErr = fmt.Errorf("node: lookup %d at %v: %w", target, r.peer, r.err)
-			launch()
-			continue
-		}
-		n.noteContact(r.resp.From)
-		if valueMode {
-			if r.resp.OK {
-				n.noteAuxHit(r)
-				return raceOutcome{owner: r.peer, value: r.resp.Value, version: r.resp.Version, hasValue: true, hops: r.depth}, nil
-			}
-			for _, c := range r.resp.Closest {
-				n.noteContact(c)
-				push(c, r.depth+1)
-			}
-			launch()
-			continue
-		}
-		found, done, candidates := n.rt.ParseLookupResponse(target, r.resp)
-		if done {
-			if found.IsZero() {
-				lastErr = fmt.Errorf("node: lookup %d: empty answer from %v", target, r.peer)
-				launch()
-				continue
-			}
-			n.noteContact(found)
-			n.noteAuxHit(r)
-			return raceOutcome{owner: found, hops: r.depth}, nil
-		}
-		for _, c := range candidates {
-			n.noteContact(c)
-			push(c, r.depth+1)
-		}
-		launch()
-	}
-	if lastErr != nil {
-		return raceOutcome{hops: hops}, lastErr
-	}
-	if hops >= n.cfg.MaxLookupHops {
-		return raceOutcome{hops: hops}, fmt.Errorf("node: lookup %d: exceeded %d hops", target, n.cfg.MaxLookupHops)
-	}
-	if valueMode {
-		return raceOutcome{hops: hops}, fmt.Errorf("node: find-value %d: %w", target, ErrNotFound)
-	}
-	return raceOutcome{hops: hops}, fmt.Errorf("node: lookup %d: no progress at %v", target, lastPeer)
-}
-
-// noteAuxHit records the paper's cache-hit event: the probe that
-// resolved the lookup was a first-hop probe aimed at a current
-// auxiliary neighbor, so the aux shortcut finished the walk in one
-// step. Owner-aliased entries count too — their frontier contact
-// carries the aliased key position as its id, which is exactly what
-// the aux set holds.
-func (n *Node) noteAuxHit(r probeResult) {
-	if r.depth == 1 && n.rt.HasAux(r.peer.ID) {
+	out, err := n.lk.race(target, seed, valueMode, n.auxQoS.Load())
+	if out.auxHit {
 		n.auxHits.Add(1)
 	}
+	return out, err
 }
 
 // Lookup is FindSuccessor for application traffic: the looked-up key is

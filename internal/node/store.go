@@ -1,9 +1,7 @@
 package node
 
 import (
-	"math/bits"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"peercache/internal/id"
@@ -64,74 +62,30 @@ func valueSum(b []byte) uint64 {
 	return h
 }
 
-// storeShard is one lock domain of the sharded store: a plain map under
-// its own mutex. The pad keeps neighboring shard locks off one cache
-// line so uncontended shards do not false-share.
-type storeShard struct {
-	mu    sync.Mutex
-	items map[id.ID]*storedItem
-	_     [40]byte
-}
-
-// store is the node's sharded, capacity-bounded item store. Unlike a
-// cache it never evicts to make room: losing owned or replicated data
-// silently would break the durability the replication layer exists to
-// provide, so a full store rejects new keys instead (the PutAck carries
-// the refusal back to the writer).
+// store is the node's capacity-bounded item store: one map under one
+// mutex. Unlike a cache it never evicts to make room: losing owned or
+// replicated data silently would break the durability the replication
+// layer exists to provide, so a full store rejects new keys instead
+// (the PutAck carries the refusal back to the writer). Methods never
+// perform I/O, so the packet handler can call them from the read loop.
 //
-// Keys are partitioned across a power-of-two number of shards by id
-// *prefix* (the top log2(shards) bits of the identifier), so a range of
-// consecutive keys — what ring reconciliation and anti-entropy walk —
-// lands in few shards, and independent writers on distant keys never
-// contend on one mutex. The capacity bound is global, enforced with an
-// atomic count (increment-then-rollback, so the bound is never
-// exceeded, exactly matching the single-mutex store's rejection
-// behavior). Methods lock one shard at a time and never perform I/O, so
-// the packet handler can call them from the read loop.
+// One lock domain is enough: against 16 prefix-keyed ones it sits
+// inside every end-to-end bound of the benchmark's pastry_kv_mixed
+// workload (docs/BENCHMARKS.md).
 type store struct {
-	shards   []storeShard
-	shift    uint // key >> shift selects the shard
-	mask     uint64
+	mu       sync.Mutex
+	items    map[id.ID]*storedItem
 	capacity int
 	ttl      time.Duration // 0 = items never expire
-	used     atomic.Int64
 }
 
-// newStore builds a store of the requested shard count (rounded up to a
-// power of two, clamped so a shard always covers at least one id) over
-// a spaceBits-bit key space.
-func newStore(capacity int, ttl time.Duration, shards int, spaceBits uint) *store {
-	if shards < 1 {
-		shards = 1
-	}
-	lg := uint(bits.Len(uint(shards - 1))) // ceil(log2(shards))
-	if lg > spaceBits {
-		lg = spaceBits
-	}
-	n := 1 << lg
-	s := &store{
-		shards:   make([]storeShard, n),
-		shift:    spaceBits - lg,
-		mask:     uint64(n - 1),
-		capacity: capacity,
-		ttl:      ttl,
-	}
-	for i := range s.shards {
-		s.shards[i].items = make(map[id.ID]*storedItem)
-	}
-	return s
-}
+// storeShards is the store's lock-domain count, still reported by
+// Metrics.StoreShards.
+const storeShards = 1
 
-// shardFor routes a key to its prefix shard. The mask guards against
-// keys carrying bits above the id space (wire input is arbitrary
-// uint64s): they fold into a valid shard instead of indexing out of
-// range.
-func (s *store) shardFor(key id.ID) *storeShard {
-	return &s.shards[(uint64(key)>>s.shift)&s.mask]
+func newStore(capacity int, ttl time.Duration) *store {
+	return &store{items: make(map[id.ID]*storedItem), capacity: capacity, ttl: ttl}
 }
-
-// shardCount reports the number of lock domains, for metrics.
-func (s *store) shardCount() int { return len(s.shards) }
 
 // putOwned applies a local or remote PUT: the node stores the value as
 // owner and assigns the next version (1 for a new key). A full store
@@ -140,10 +94,9 @@ func (s *store) shardCount() int { return len(s.shards) }
 // replica flips to owned, because the writer just resolved this node as
 // the key's successor.
 func (s *store) putOwned(key id.ID, value []byte, now time.Time) (version uint64, ok bool) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if it, exists := sh.items[key]; exists {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if it, exists := s.items[key]; exists {
 		it.value = append([]byte(nil), value...)
 		it.version++
 		it.sum = valueSum(value)
@@ -151,11 +104,10 @@ func (s *store) putOwned(key id.ID, value []byte, now time.Time) (version uint64
 		it.refreshed = now
 		return it.version, true
 	}
-	if s.used.Add(1) > int64(s.capacity) {
-		s.used.Add(-1)
+	if len(s.items) >= s.capacity {
 		return 0, false
 	}
-	sh.items[key] = &storedItem{
+	s.items[key] = &storedItem{
 		value:     append([]byte(nil), value...),
 		version:   1,
 		sum:       valueSum(value),
@@ -173,10 +125,9 @@ func (s *store) putOwned(key id.ID, value []byte, now time.Time) (version uint64
 // the owner's next anti-entropy round will retry, and by then either
 // capacity or membership has changed.
 func (s *store) applyReplica(key id.ID, value []byte, version uint64, now time.Time) bool {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if it, exists := sh.items[key]; exists {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if it, exists := s.items[key]; exists {
 		if version > it.version {
 			it.value = append([]byte(nil), value...)
 			it.version = version
@@ -185,11 +136,10 @@ func (s *store) applyReplica(key id.ID, value []byte, version uint64, now time.T
 		it.refreshed = now
 		return true
 	}
-	if s.used.Add(1) > int64(s.capacity) {
-		s.used.Add(-1)
+	if len(s.items) >= s.capacity {
 		return false
 	}
-	sh.items[key] = &storedItem{
+	s.items[key] = &storedItem{
 		value:     append([]byte(nil), value...),
 		version:   version,
 		sum:       valueSum(value),
@@ -209,10 +159,9 @@ func (s *store) applyReplica(key id.ID, value []byte, version uint64, now time.T
 // which is what keeps healthy replicas out of the stranded-repair
 // pass's staleness net.
 func (s *store) needFromDigest(key id.ID, version, sum uint64, now time.Time) bool {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	it, exists := sh.items[key]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	it, exists := s.items[key]
 	if !exists || s.expiredLocked(it, now) {
 		return true
 	}
@@ -226,10 +175,9 @@ func (s *store) needFromDigest(key id.ID, version, sum uint64, now time.Time) bo
 // get returns the stored value and version for key, owned and replica
 // alike — a replica answering a GET is the point of keeping it.
 func (s *store) get(key id.ID, now time.Time) (value []byte, version uint64, ok bool) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	it, exists := sh.items[key]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	it, exists := s.items[key]
 	if !exists || s.expiredLocked(it, now) {
 		return nil, 0, false
 	}
@@ -248,31 +196,25 @@ func (s *store) expiredLocked(it *storedItem, now time.Time) bool {
 // current ownership range; a node whose predecessor is unknown cannot
 // judge responsibility and must pass nil, which skips promotion and
 // demotion for the round (data is never reclassified on guesswork).
-// Shards are reconciled one at a time, so concurrent readers of other
-// shards never stall behind the pass.
 func (s *store) reconcile(now time.Time, responsible func(id.ID) bool) (promoted int, handoff []ownedItem) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for key, it := range sh.items {
-			if s.expiredLocked(it, now) {
-				delete(sh.items, key)
-				s.used.Add(-1)
-				continue
-			}
-			if responsible == nil {
-				continue
-			}
-			switch {
-			case it.kind == kindReplica && responsible(key):
-				it.kind = kindOwned
-				promoted++
-			case it.kind == kindOwned && !responsible(key):
-				it.kind = kindReplica
-				handoff = append(handoff, ownedItem{key: key, value: it.value, version: it.version, sum: it.sum})
-			}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for key, it := range s.items {
+		if s.expiredLocked(it, now) {
+			delete(s.items, key)
+			continue
 		}
-		sh.mu.Unlock()
+		if responsible == nil {
+			continue
+		}
+		switch {
+		case it.kind == kindReplica && responsible(key):
+			it.kind = kindOwned
+			promoted++
+		case it.kind == kindOwned && !responsible(key):
+			it.kind = kindReplica
+			handoff = append(handoff, ownedItem{key: key, value: it.value, version: it.version, sum: it.sum})
+		}
 	}
 	return promoted, handoff
 }
@@ -282,16 +224,13 @@ func (s *store) reconcile(now time.Time, responsible func(id.ID) bool) (promoted
 // (putOwned and applyReplica replace the slice), so the snapshot is safe
 // to encode concurrently.
 func (s *store) owned() []ownedItem {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var out []ownedItem
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for key, it := range sh.items {
-			if it.kind == kindOwned {
-				out = append(out, ownedItem{key: key, value: it.value, version: it.version, sum: it.sum})
-			}
+	for key, it := range s.items {
+		if it.kind == kindOwned {
+			out = append(out, ownedItem{key: key, value: it.value, version: it.version, sum: it.sum})
 		}
-		sh.mu.Unlock()
 	}
 	return out
 }
@@ -307,21 +246,15 @@ func (s *store) owned() []ownedItem {
 // every tick) and keeps the store TTL from reaping data the repair loop
 // is actively re-homing.
 func (s *store) staleReplicas(now time.Time, olderThan time.Duration, max int) []ownedItem {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var out []ownedItem
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for key, it := range sh.items {
-			if it.kind != kindReplica || now.Sub(it.refreshed) < olderThan {
-				continue
-			}
-			it.refreshed = now
-			out = append(out, ownedItem{key: key, value: it.value, version: it.version, sum: it.sum})
-			if len(out) >= max {
-				break
-			}
+	for key, it := range s.items {
+		if it.kind != kindReplica || now.Sub(it.refreshed) < olderThan {
+			continue
 		}
-		sh.mu.Unlock()
+		it.refreshed = now
+		out = append(out, ownedItem{key: key, value: it.value, version: it.version, sum: it.sum})
 		if len(out) >= max {
 			break
 		}
@@ -334,10 +267,9 @@ func (s *store) staleReplicas(now time.Time, olderThan time.Duration, max int) [
 // distinguish an owned copy from a replica, which get deliberately
 // hides.
 func (s *store) info(key id.ID, now time.Time) (value []byte, version uint64, owned, ok bool) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	it, exists := sh.items[key]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	it, exists := s.items[key]
 	if !exists || s.expiredLocked(it, now) {
 		return nil, 0, false, false
 	}
@@ -346,17 +278,14 @@ func (s *store) info(key id.ID, now time.Time) (value []byte, version uint64, ow
 
 // counts returns the current owned and replica item counts.
 func (s *store) counts() (owned, replicas int) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for _, it := range sh.items {
-			if it.kind == kindOwned {
-				owned++
-			} else {
-				replicas++
-			}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, it := range s.items {
+		if it.kind == kindOwned {
+			owned++
+		} else {
+			replicas++
 		}
-		sh.mu.Unlock()
 	}
 	return owned, replicas
 }

@@ -10,52 +10,11 @@ import (
 	"peercache/internal/wire"
 )
 
-// Shard geometry: counts round up to powers of two, clamp to the id
-// space, and route by key prefix so consecutive keys share a shard.
-func TestStoreShardGeometry(t *testing.T) {
-	cases := []struct {
-		shards    int
-		spaceBits uint
-		want      int
-	}{
-		{1, 16, 1},
-		{2, 16, 2},
-		{3, 16, 4}, // rounds up
-		{16, 16, 16},
-		{16, 3, 8},  // clamped: a shard must cover at least one id
-		{-5, 16, 1}, // nonsense collapses to one shard
-		{0, 16, 1},
-	}
-	for _, c := range cases {
-		s := newStore(100, 0, c.shards, c.spaceBits)
-		if got := s.shardCount(); got != c.want {
-			t.Errorf("newStore(shards=%d, bits=%d): %d shards, want %d", c.shards, c.spaceBits, got, c.want)
-		}
-	}
-
-	// Prefix routing: with 16 shards over 16 bits, the top 4 bits select
-	// the shard, so a run of consecutive keys lands together while keys
-	// differing in the prefix land apart.
-	s := newStore(100, 0, 16, 16)
-	if s.shardFor(0x1000) != s.shardFor(0x1FFF) {
-		t.Error("keys sharing a prefix landed in different shards")
-	}
-	if s.shardFor(0x1000) == s.shardFor(0x2000) {
-		t.Error("keys with distinct prefixes landed in the same shard")
-	}
-	// Keys above the id space (arbitrary wire input) must fold into a
-	// valid shard rather than index out of range.
-	_ = s.shardFor(id.ID(1 << 40))
-}
-
-// The capacity bound is global across shards and behaves exactly like
-// the single-mutex store: new keys are rejected once full, overwrites
-// of known keys always succeed, and expiry frees capacity.
+// The capacity bound: new keys are rejected once full, overwrites of
+// known keys always succeed, and expiry frees capacity.
 func TestStoreCapacityGlobalAcrossShards(t *testing.T) {
 	now := time.Now()
-	s := newStore(4, 0, 8, 16)
-	// Spread keys across shards; the 5th insert must fail wherever it
-	// lands.
+	s := newStore(4, 0)
 	keys := []id.ID{0x0001, 0x2001, 0x4001, 0x6001}
 	for _, k := range keys {
 		if _, ok := s.putOwned(k, []byte("v"), now); !ok {
@@ -74,7 +33,7 @@ func TestStoreCapacityGlobalAcrossShards(t *testing.T) {
 	}
 
 	// Expiry during reconcile frees capacity for new keys.
-	st := newStore(1, 10*time.Millisecond, 8, 16)
+	st := newStore(1, 10*time.Millisecond)
 	st.putOwned(0x0001, []byte("v"), now)
 	if _, ok := st.putOwned(0x2001, []byte("v"), now); ok {
 		t.Fatal("second key accepted in capacity-1 store")
@@ -92,7 +51,7 @@ func TestStoreCapacityGlobalAcrossShards(t *testing.T) {
 // replicas out of the stranded-repair net.
 func TestStoreNeedFromDigest(t *testing.T) {
 	now := time.Now()
-	s := newStore(10, time.Second, 4, 16)
+	s := newStore(10, time.Second)
 	val := []byte("value")
 	sum := valueSum(val)
 
@@ -116,7 +75,7 @@ func TestStoreNeedFromDigest(t *testing.T) {
 
 	// The TTL refresh: a matching digest at t+900ms must keep the copy
 	// alive past its original t+1s expiry.
-	s2 := newStore(10, time.Second, 4, 16)
+	s2 := newStore(10, time.Second)
 	s2.applyReplica(7, val, 1, now)
 	if s2.needFromDigest(7, 1, sum, now.Add(900*time.Millisecond)) {
 		t.Fatal("current copy requested at 900ms")
@@ -127,11 +86,11 @@ func TestStoreNeedFromDigest(t *testing.T) {
 }
 
 // Parallel writers, readers, digest answers, and reconcile passes on
-// keys spread across every shard — the refactor's contended paths under
+// keys spread across the id space — the store's contended paths under
 // the race detector. Correctness assertions are minimal (no torn
 // values, capacity never exceeded); the detector carries the test.
 func TestStoreConcurrentAcrossShards(t *testing.T) {
-	s := newStore(4096, time.Minute, 16, 16)
+	s := newStore(4096, time.Minute)
 	const (
 		workers = 8
 		keysPer = 64
@@ -156,7 +115,7 @@ func TestStoreConcurrentAcrossShards(t *testing.T) {
 						return
 					}
 				}
-				// Cross-shard passes interleaved with the writes.
+				// Whole-store passes interleaved with the writes.
 				s.reconcile(now, func(id.ID) bool { return true })
 				s.owned()
 				s.counts()
@@ -168,9 +127,6 @@ func TestStoreConcurrentAcrossShards(t *testing.T) {
 	owned, replicas := s.counts()
 	if owned+replicas > 4096 {
 		t.Fatalf("store holds %d items, capacity 4096", owned+replicas)
-	}
-	if int64(owned+replicas) != s.used.Load() {
-		t.Fatalf("used counter %d disagrees with actual count %d", s.used.Load(), owned+replicas)
 	}
 }
 
