@@ -99,29 +99,48 @@ func (r *Reader) Stats() Stats { return r.stats }
 
 // fill tops the prefetch window up: the chunk the stream needs next
 // plus Prefetch lookahead chunks, each fetched in its own goroutine.
+// With Prefetch 0 there is no window: advance issues each chunk only
+// when the stream position reaches it.
 func (r *Reader) fill() {
-	for len(r.inflight) < 1+r.s.o.Prefetch && r.next < r.m.Chunks() {
-		p := pending{index: r.next, ch: make(chan fetchResult, 1)}
-		r.next++
-		r.inflight = append(r.inflight, p)
-		go func() {
-			data, hops, err := r.s.fetchChunk(r.m, r.root, p.index)
-			p.ch <- fetchResult{data: data, hops: hops, err: err}
-		}()
+	for r.s.o.Prefetch > 0 && len(r.inflight) < 1+r.s.o.Prefetch && r.next < r.m.Chunks() {
+		r.issue()
 	}
+}
+
+// issue starts the fetch of chunk r.next and queues it in stream order.
+func (r *Reader) issue() {
+	p := pending{index: r.next, ch: make(chan fetchResult, 1)}
+	r.next++
+	r.inflight = append(r.inflight, p)
+	go func() {
+		data, hops, err := r.s.fetchChunk(r.m, r.root, p.index)
+		p.ch <- fetchResult{data: data, hops: hops, err: err}
+	}()
 }
 
 // advance blocks until the next chunk in stream order is available and
 // makes it the current chunk, accounting wait-vs-prefetched in stats.
+// A chunk issued on demand is a wait by construction, however fast it
+// lands.
 func (r *Reader) advance() error {
+	onDemand := len(r.inflight) == 0 && r.next < r.m.Chunks()
+	if onDemand {
+		r.issue()
+	}
 	if len(r.inflight) == 0 {
 		return io.EOF
 	}
 	p := r.inflight[0]
 	var res fetchResult
-	select {
-	case res = <-p.ch: // prefetch already done: no stall
-	default:
+	ready := false
+	if !onDemand {
+		select {
+		case res = <-p.ch: // prefetch already done: no stall
+			ready = true
+		default:
+		}
+	}
+	if !ready {
 		blocked := time.Now()
 		res = <-p.ch
 		r.stats.WaitTime += time.Since(blocked)

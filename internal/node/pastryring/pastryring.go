@@ -191,7 +191,11 @@ func (r *Ring) NextHop(target id.ID) (wire.Contact, bool) {
 		if !inArc {
 			ccw := r.leafCCW[len(r.leafCCW)-1].ID
 			cw := r.leafCW[len(r.leafCW)-1].ID
-			inArc = r.space.Gap(ccw, target) <= r.space.Gap(ccw, cw)
+			// Sides that overlap — the clockwise one reaching past the
+			// farthest counter-clockwise leaf, as on a ring of at most
+			// 2·leafHalf+1 nodes — cover the whole ring.
+			inArc = r.space.Gap(r.self.ID, cw) >= r.space.Gap(r.self.ID, ccw) ||
+				r.space.Gap(ccw, target) <= r.space.Gap(ccw, cw)
 		}
 		if inArc {
 			best := r.self
