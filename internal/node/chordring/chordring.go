@@ -33,6 +33,10 @@ type Ring struct {
 	maxSucc int
 	pred    wire.Contact
 	hasPred bool
+	// predHeard is set when the current predecessor notified this node
+	// since the last stabilize round: that request is its liveness
+	// proof, so the round skips the predecessor ping.
+	predHeard bool
 
 	fingers   []wire.Contact // fingers[i] covers (self+2^i, self+2^{i+1}]
 	hasFinger []bool
@@ -311,7 +315,9 @@ func (r *Ring) HandleRequest(m *wire.Message, resp *wire.Message) bool {
 
 // Stabilize runs one maintenance round: refresh the successor (adopting
 // its predecessor when that node sits between), notify it, rebuild the
-// successor list from its list, and check the predecessor's liveness.
+// successor list from its list, and check the predecessor's liveness —
+// with a ping only when the predecessor has not notified this node
+// since the previous round.
 func (r *Ring) Stabilize() {
 	s := r.successor()
 	if s.ID == r.self.ID {
@@ -350,7 +356,11 @@ func (r *Ring) Stabilize() {
 	r.setSuccs(list)
 
 	// Predecessor liveness.
-	if p, ok := r.Predecessor(); ok && p.ID != r.self.ID && p.Addr != "" {
+	r.mu.Lock()
+	p, ok, heard := r.pred, r.hasPred, r.predHeard
+	r.predHeard = false
+	r.mu.Unlock()
+	if ok && !heard && p.ID != r.self.ID && p.Addr != "" {
 		if _, err := r.h.Call(p.Addr, &wire.Message{Type: wire.TPing}); err != nil {
 			r.clearPred()
 		}
@@ -555,11 +565,13 @@ func (r *Ring) clearPred() {
 	r.mu.Lock()
 	r.hasPred = false
 	r.pred = wire.Contact{}
+	r.predHeard = false
 	r.mu.Unlock()
 }
 
 // notify processes a notify(c): adopt c as predecessor if there is none
-// or c sits between the current predecessor and self.
+// or c sits between the current predecessor and self. A notify from the
+// predecessor, adopted or standing, marks it heard for this round.
 func (r *Ring) notify(c wire.Contact) {
 	if c.ID == r.self.ID || c.Addr == "" {
 		return
@@ -568,6 +580,9 @@ func (r *Ring) notify(c wire.Contact) {
 	if !r.hasPred || r.space.Between(c.ID, r.pred.ID, r.self.ID) {
 		r.pred = c
 		r.hasPred = true
+	}
+	if r.pred.ID == c.ID {
+		r.predHeard = true
 	}
 	r.mu.Unlock()
 	r.h.Note(c)

@@ -12,18 +12,23 @@ import (
 
 // stubHost satisfies ring.Host with a canned resolver so RepairTable
 // can be driven without a network: Resolve answers every target with
-// the first ring member clockwise of it.
+// the first ring member clockwise of it. Call goes to the call hook, and
+// fails when there is none.
 type stubHost struct {
 	space    id.Space
 	self     wire.Contact
 	members  []id.ID // sorted ascending
 	resolves int
+	call     func(addr string, req *wire.Message) (*wire.Message, error)
 }
 
 func (h *stubHost) Self() wire.Contact { return h.self }
 func (h *stubHost) Space() id.Space    { return h.space }
 func (h *stubHost) Call(addr string, req *wire.Message) (*wire.Message, error) {
-	return nil, fmt.Errorf("stub: no rpc")
+	if h.call == nil {
+		return nil, fmt.Errorf("stub: no rpc")
+	}
+	return h.call(addr, req)
 }
 func (h *stubHost) Send(addr string, m *wire.Message)   {}
 func (h *stubHost) Note(c wire.Contact)                 {}

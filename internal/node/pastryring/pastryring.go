@@ -11,9 +11,11 @@
 // Wire footprint: the geometry owns TRowExchange/TRowExchangeResp (a
 // peer's populated prefix-table rows; the join walk collects one per
 // hop and stabilize gossips one per round) and TLeafProbe/TLeafProbeResp
-// (a peer's leaf set; stabilize probes every leaf with it, and a joiner
-// announces itself by firing one-way probes at everyone it learned of).
-// Lookups ride the runtime's protocol-neutral TFindSucc.
+// (a peer's leaf set, less the requester; stabilize probes every leaf
+// with it, and a joiner announces itself by firing one-way probes at
+// everyone it learned of). Gossiped contacts are pinged before adoption,
+// but only those the placement rule would keep, each at most once per
+// stabilize round. Lookups ride the runtime's protocol-neutral TFindSucc.
 //
 // Aux selection uses the prefix distance metric (SelectAux: the paper's
 // O(nkb) greedy, or the Section IV-D DP under delay bounds).
@@ -352,7 +354,8 @@ func (r *Ring) HandleRequest(m *wire.Message, resp *wire.Message) bool {
 		resp.Rows = r.rowList()
 	case wire.TLeafProbe:
 		resp.Type = wire.TLeafProbeResp
-		resp.Leaves = r.leafList()
+		// The requester's own contact would teach it nothing.
+		resp.Leaves = r.leafList(m.From)
 	default:
 		return false
 	}
@@ -363,11 +366,14 @@ func (r *Ring) HandleRequest(m *wire.Message, resp *wire.Message) bool {
 // Stabilize runs one leaf-set maintenance round: probe every leaf with
 // TLeafProbe (dead leaves drop out of all state; survivors' leaf sets
 // are merged), then trade prefix-table rows with one random peer.
-// Gossiped candidates may themselves be stale, so each unknown one is
-// pinged before adoption — otherwise dead nodes keep circulating
-// between peers that drop and re-learn them.
+// Gossiped candidates may themselves be stale, so adopt pings an
+// unknown one before learning it — otherwise dead nodes keep
+// circulating between peers that drop and re-learn them. The round
+// shares one tried set across every reply: a contact named by several
+// leaves, or a dead one, costs at most one ping per round.
 func (r *Ring) Stabilize() {
-	for _, lf := range r.leafList() {
+	tried := make(map[id.ID]bool)
+	for _, lf := range r.leafList(wire.Contact{}) {
 		resp, err := r.h.Call(lf.Addr, &wire.Message{Type: wire.TLeafProbe})
 		if err != nil {
 			r.DropPeer(lf.ID)
@@ -375,7 +381,7 @@ func (r *Ring) Stabilize() {
 		}
 		r.learn(resp.From)
 		for _, c := range resp.Leaves {
-			r.adopt(c)
+			r.adopt(c, tried)
 		}
 	}
 	if p, ok := r.randomPeer(); ok {
@@ -386,7 +392,7 @@ func (r *Ring) Stabilize() {
 		}
 		r.learn(resp.From)
 		for _, row := range resp.Rows {
-			r.adopt(row.Entry)
+			r.adopt(row.Entry, tried)
 		}
 	}
 }
@@ -569,10 +575,9 @@ func (r *Ring) eachEntry(fn func(wire.Contact)) {
 	}
 }
 
-// learn folds a contact into the routing state: the matching row if it
-// is empty (refreshing the address if the same node already holds it),
-// and each leaf-set side if it is among the leafHalf nearest. Every
-// learned contact is recorded in the runtime's address cache.
+// learn folds a contact into the routing state wherever placement
+// keeps it. Every learned contact is recorded in the runtime's address
+// cache.
 func (r *Ring) learn(c wire.Contact) {
 	if c.IsZero() || c.ID == r.self.ID || c.Addr == "" {
 		return
@@ -580,57 +585,73 @@ func (r *Ring) learn(c wire.Contact) {
 	r.h.Note(c)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	l := r.space.CommonPrefixLen(r.self.ID, c.ID)
-	if int(l) < len(r.rows) {
-		if !r.hasRow[l] {
-			r.rows[l] = c
-			r.hasRow[l] = true
-		} else if r.rows[l].ID == c.ID {
-			r.rows[l] = c
-		}
+	row, inRow, inLeaves := r.placement(c.ID)
+	if inRow {
+		r.rows[row] = c
+		r.hasRow[row] = true
 	}
-	r.leafCW = insertLeaf(r.space, r.leafCW, r.self.ID, c, r.leafHalf, true)
-	r.leafCCW = insertLeaf(r.space, r.leafCCW, r.self.ID, c, r.leafHalf, false)
+	if inLeaves {
+		r.leafCW = insertLeaf(r.space, r.leafCW, r.self.ID, c, r.leafHalf, true)
+		r.leafCCW = insertLeaf(r.space, r.leafCCW, r.self.ID, c, r.leafHalf, false)
+	}
 }
 
-// adopt pings an unknown gossiped candidate and learns it if it
-// answers; known contacts and obvious junk are skipped without I/O.
-func (r *Ring) adopt(c wire.Contact) {
-	if c.IsZero() || c.ID == r.self.ID || c.Addr == "" || r.knows(c.ID) {
+// placement is the one rule for where learn keeps node x, under the
+// caller's lock: in its prefix row when that row is empty or already
+// holds x (inRow), and in the leaf set when x is among the leafHalf
+// nearest on either side or already a leaf (inLeaves). A contact that
+// is neither is dropped.
+func (r *Ring) placement(x id.ID) (row uint, inRow, inLeaves bool) {
+	row = r.space.CommonPrefixLen(r.self.ID, x)
+	inRow = int(row) < len(r.rows) && (!r.hasRow[row] || r.rows[row].ID == x)
+	cw, _ := leafPos(r.space, r.leafCW, r.self.ID, x, true)
+	ccw, _ := leafPos(r.space, r.leafCCW, r.self.ID, x, false)
+	return row, inRow, cw < r.leafHalf || ccw < r.leafHalf
+}
+
+// adopt pings a gossiped candidate and learns it if it answers — but
+// only an unknown candidate that placement would keep, and only once
+// per tried set; known contacts, candidates learn would drop, repeats
+// and obvious junk are skipped without I/O.
+func (r *Ring) adopt(c wire.Contact, tried map[id.ID]bool) {
+	if c.IsZero() || c.ID == r.self.ID || c.Addr == "" || tried[c.ID] {
 		return
 	}
+	r.mu.RLock()
+	known := false
+	r.eachEntry(func(e wire.Contact) {
+		if e.ID == c.ID {
+			known = true
+		}
+	})
+	_, inRow, inLeaves := r.placement(c.ID)
+	r.mu.RUnlock()
+	if known || !(inRow || inLeaves) {
+		return
+	}
+	tried[c.ID] = true
 	if _, err := r.h.Call(c.Addr, &wire.Message{Type: wire.TPing}); err != nil {
 		return
 	}
 	r.learn(c)
 }
 
-// knows reports whether x already appears in the leaf set or the rows.
-func (r *Ring) knows(x id.ID) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	found := false
-	r.eachEntry(func(c wire.Contact) {
-		if c.ID == x {
-			found = true
-		}
-	})
-	return found
-}
-
 // leafList returns the wire-ready leaf set: clockwise side nearest-first
-// then counter-clockwise side, deduplicated, capped at MaxLeaves.
-func (r *Ring) leafList() []wire.Contact {
+// then counter-clockwise side, deduplicated, without the except contact
+// (a zero one excludes nothing), capped at MaxLeaves.
+func (r *Ring) leafList(except wire.Contact) []wire.Contact {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	seen := make(map[id.ID]bool, len(r.leafCW)+len(r.leafCCW))
 	out := make([]wire.Contact, 0, len(r.leafCW)+len(r.leafCCW))
-	for _, c := range append(append([]wire.Contact(nil), r.leafCW...), r.leafCCW...) {
-		if seen[c.ID] || len(out) == wire.MaxLeaves {
-			continue
+	seen := make(map[id.ID]bool, cap(out))
+	for _, side := range [2][]wire.Contact{r.leafCW, r.leafCCW} {
+		for _, c := range side {
+			if seen[c.ID] || len(out) == wire.MaxLeaves || (c.ID == except.ID && !except.IsZero()) {
+				continue
+			}
+			seen[c.ID] = true
+			out = append(out, c)
 		}
-		seen[c.ID] = true
-		out = append(out, c)
 	}
 	return out
 }
@@ -679,10 +700,10 @@ func (r *Ring) randomPeer() (wire.Contact, bool) {
 	return pick, i > 0
 }
 
-// insertLeaf maintains one leaf-set side: sorted nearest-first by
-// clockwise (cw) or counter-clockwise gap, capped at half entries. An
-// already-present id has its address refreshed in place.
-func insertLeaf(space id.Space, side []wire.Contact, self id.ID, c wire.Contact, half int, cw bool) []wire.Contact {
+// leafPos locates x on one leaf-set side, sorted nearest-first by
+// clockwise (cw) or counter-clockwise gap from self: the index of x's
+// own entry when present, else the index x would be inserted at.
+func leafPos(space id.Space, side []wire.Contact, self, x id.ID, cw bool) (i int, present bool) {
 	gap := func(a id.ID) uint64 {
 		if cw {
 			return space.Gap(self, a)
@@ -690,15 +711,25 @@ func insertLeaf(space id.Space, side []wire.Contact, self id.ID, c wire.Contact,
 		return space.Gap(a, self)
 	}
 	for i, e := range side {
-		if e.ID == c.ID {
-			side[i] = c
-			return side
+		if e.ID == x {
+			return i, true
 		}
 	}
-	g := gap(c.ID)
-	i := 0
+	g := gap(x)
 	for i < len(side) && gap(side[i].ID) < g {
 		i++
+	}
+	return i, false
+}
+
+// insertLeaf maintains one leaf-set side: sorted nearest-first as
+// leafPos orders it, capped at half entries. An already-present id has
+// its address refreshed in place.
+func insertLeaf(space id.Space, side []wire.Contact, self id.ID, c wire.Contact, half int, cw bool) []wire.Contact {
+	i, present := leafPos(space, side, self, c.ID, cw)
+	if present {
+		side[i] = c
+		return side
 	}
 	if i >= half {
 		return side

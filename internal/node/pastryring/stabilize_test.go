@@ -1,0 +1,310 @@
+package pastryring
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"peercache/internal/id"
+	"peercache/internal/node/ring"
+	"peercache/internal/wire"
+)
+
+// fakeNet wires Rings together in memory for white-box maintenance
+// tests. A Call dispatches to the addressed ring's HandleRequest exactly
+// as the runtime's read loop would, answering the runtime-owned TPing
+// itself; an address in dead (or one nobody listens at) fails every
+// Call, as a crashed peer does once the runtime's retries run out.
+type fakeNet struct {
+	rings map[string]*Ring
+	dead  map[string]bool
+	calls map[fakeCall]int // Calls issued, by caller, callee and type
+}
+
+type fakeCall struct {
+	from, to string
+	typ      wire.Type
+}
+
+func newFakeNet() *fakeNet {
+	return &fakeNet{rings: make(map[string]*Ring), dead: make(map[string]bool), calls: make(map[fakeCall]int)}
+}
+
+// count sums the Calls r issued of type typ, to the address to or, when
+// to is empty, to anyone.
+func (n *fakeNet) count(r *Ring, typ wire.Type, to string) int {
+	total := 0
+	for c, k := range n.calls {
+		if c.from == r.self.Addr && c.typ == typ && (to == "" || c.to == to) {
+			total += k
+		}
+	}
+	return total
+}
+
+// fakeHost is one ring's ring.Host on a fakeNet. Resolve is
+// unavailable: the tests here drive leaf probes, row gossip and the
+// populated-row half of RepairTable, none of which walks the ring.
+type fakeHost struct {
+	self  wire.Contact
+	space id.Space
+	net   *fakeNet
+}
+
+func (h *fakeHost) Self() wire.Contact { return h.self }
+func (h *fakeHost) Space() id.Space    { return h.space }
+
+func (h *fakeHost) Call(addr string, req *wire.Message) (*wire.Message, error) {
+	h.net.calls[fakeCall{h.self.Addr, addr, req.Type}]++
+	peer, ok := h.net.rings[addr]
+	if !ok || h.net.dead[addr] {
+		return nil, fmt.Errorf("fakehost: %s does not answer", addr)
+	}
+	req.From = h.self
+	resp := &wire.Message{From: peer.self}
+	if req.Type == wire.TPing {
+		resp.Type = wire.TPong
+		return resp, nil
+	}
+	if !peer.HandleRequest(req, resp) {
+		return nil, fmt.Errorf("fakehost: node %d rejected request type %d", peer.self.ID, req.Type)
+	}
+	return resp, nil
+}
+
+func (h *fakeHost) Send(addr string, m *wire.Message) {}
+
+func (h *fakeHost) Resolve(target id.ID) (wire.Contact, int, error) {
+	return wire.Contact{}, 0, fmt.Errorf("fakehost: resolve unavailable")
+}
+
+func (h *fakeHost) Note(c wire.Contact)                 {}
+func (h *fakeHost) AddrOf(x id.ID) (string, bool)       { return "", false }
+func (h *fakeHost) RTTOf(x id.ID) (time.Duration, bool) { return 0, false }
+
+// addRing builds one Ring with leaf sides of 4 on the fake net.
+func (n *fakeNet) addRing(tb testing.TB, space id.Space, x id.ID) *Ring {
+	tb.Helper()
+	self := wire.Contact{ID: x, Addr: fmt.Sprintf("fake/%d", x)}
+	rt, err := New(&fakeHost{self: self, space: space, net: n}, ring.Options{
+		NeighborListLen: 4,
+		MaxLookupHops:   16,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r := rt.(*Ring)
+	n.rings[self.Addr] = r
+	return r
+}
+
+// convergedRing boots a 16-node fake ring in a 16-bit space, one node
+// near the start of every 4096-id block, and has every node learn every
+// other directly: each leaf side holds the 4 true neighbors and each
+// prefix row its first-learned candidate, the state maintenance keeps
+// once an overlay has converged.
+func convergedRing(tb testing.TB) (*fakeNet, []*Ring) {
+	tb.Helper()
+	space := id.NewSpace(16)
+	net := newFakeNet()
+	var rs []*Ring
+	for i := 0; i < 16; i++ {
+		rs = append(rs, net.addRing(tb, space, id.ID(i*4096+100+37*(i%5))))
+	}
+	for _, r := range rs {
+		for _, o := range rs {
+			r.learn(o.self)
+		}
+	}
+	return net, rs
+}
+
+func listsContact(list []wire.Contact, x id.ID) bool {
+	for _, c := range list {
+		if c.ID == x {
+			return true
+		}
+	}
+	return false
+}
+
+// TestStabilizeConvergedRingPingsNobody: on a converged ring every
+// contact a leaf or the row-gossip partner names is either already in
+// the table or one learn would drop — beyond the farthest leaf on both
+// sides, with its prefix row already filled — so a round probes each
+// leaf once, trades rows once, and pings nobody.
+func TestStabilizeConvergedRingPingsNobody(t *testing.T) {
+	net, rs := convergedRing(t)
+	for _, x := range rs {
+		cw, ccw := x.Leaves()
+		x.Stabilize()
+		for _, lf := range append(cw, ccw...) {
+			if got := net.count(x, wire.TLeafProbe, lf.Addr); got != 1 {
+				t.Errorf("node %d probed leaf %d %d times, want 1", x.self.ID, lf.ID, got)
+			}
+		}
+		if got, want := net.count(x, wire.TLeafProbe, ""), len(cw)+len(ccw); got != want {
+			t.Errorf("node %d sent %d leaf probes, want %d", x.self.ID, got, want)
+		}
+		if got := net.count(x, wire.TRowExchange, ""); got != 1 {
+			t.Errorf("node %d sent %d row exchanges, want 1", x.self.ID, got)
+		}
+		if got := net.count(x, wire.TPing, ""); got != 0 {
+			t.Errorf("node %d pinged %d gossiped contacts on a converged ring, want 0", x.self.ID, got)
+		}
+	}
+}
+
+// joinUnseen adds node x to the fake net and teaches it to every leaf
+// of self, but not to self: the situation a stabilize round's gossip
+// resolves. It returns how many of self's leaves now list x.
+func joinUnseen(t *testing.T, net *fakeNet, self *Ring, x id.ID) (*Ring, int) {
+	t.Helper()
+	n := net.addRing(t, self.space, x)
+	cw, ccw := self.Leaves()
+	naming := 0
+	for _, lf := range append(cw, ccw...) {
+		peer := net.rings[lf.Addr]
+		peer.learn(n.self)
+		n.learn(peer.self)
+		pcw, pccw := peer.Leaves()
+		if listsContact(append(pcw, pccw...), x) {
+			naming++
+		}
+	}
+	if listsContact(append(cw, ccw...), x) {
+		t.Fatalf("setup: node %d already knows %d", self.self.ID, x)
+	}
+	return n, naming
+}
+
+// TestStabilizeAdoptsPlaceableCandidateWithOnePing: a gossiped contact
+// closer than the farthest leaf is pinged before adoption — once, however
+// many leaves name it — and lands in the leaf set.
+func TestStabilizeAdoptsPlaceableCandidateWithOnePing(t *testing.T) {
+	net, rs := convergedRing(t)
+	x := rs[0]
+	newcomer, naming := joinUnseen(t, net, x, x.self.ID+1000)
+	if naming < 4 {
+		t.Fatalf("setup: only %d of node %d's leaves name %d, want at least 4", naming, x.self.ID, newcomer.self.ID)
+	}
+	x.Stabilize()
+	if got := net.count(x, wire.TPing, newcomer.self.Addr); got != 1 {
+		t.Errorf("candidate named by %d leaves was pinged %d times, want 1", naming, got)
+	}
+	if got := net.count(x, wire.TPing, ""); got != 1 {
+		t.Errorf("round pinged %d contacts, want only the candidate", got)
+	}
+	if cw, _ := x.Leaves(); len(cw) == 0 || cw[0].ID != newcomer.self.ID {
+		t.Errorf("clockwise leaves %v, want %d adopted as the nearest", cw, newcomer.self.ID)
+	}
+}
+
+// TestStabilizePingsDeadCandidateOncePerRound: a placeable candidate
+// that does not answer costs one ping per round, not one per leaf that
+// names it, and is never adopted.
+func TestStabilizePingsDeadCandidateOncePerRound(t *testing.T) {
+	net, rs := convergedRing(t)
+	x := rs[0]
+	ghost, _ := joinUnseen(t, net, x, x.self.ID+1000)
+	net.dead[ghost.self.Addr] = true
+	for round := 1; round <= 3; round++ {
+		x.Stabilize()
+		if got := net.count(x, wire.TPing, ghost.self.Addr); got != round {
+			t.Fatalf("after %d rounds the dead candidate was pinged %d times, want %d", round, got, round)
+		}
+	}
+	cw, ccw := x.Leaves()
+	if listsContact(append(cw, ccw...), ghost.self.ID) || listsContact(x.TableList(), ghost.self.ID) {
+		t.Fatalf("dead candidate %d was adopted", ghost.self.ID)
+	}
+}
+
+// TestRepairTablePingsPopulatedRow: RepairTable's turn at a populated
+// row is one ping to its entry; the entry stays while it answers and
+// is cleared once it does not.
+func TestRepairTablePingsPopulatedRow(t *testing.T) {
+	net, rs := convergedRing(t)
+	x := rs[0]
+	row0, ok := x.Rows()[0]
+	if !ok {
+		t.Fatal("setup: row 0 is empty")
+	}
+	x.RepairTable()
+	if got := net.count(x, wire.TPing, row0.Addr); got != 1 {
+		t.Fatalf("repair of a live row pinged its entry %d times, want 1", got)
+	}
+	if got, ok := x.Rows()[0]; !ok || got.ID != row0.ID {
+		t.Fatalf("live row 0 entry %d replaced by %v", row0.ID, got)
+	}
+
+	x.nextRow = 0
+	net.dead[row0.Addr] = true
+	x.RepairTable()
+	if got := net.count(x, wire.TPing, row0.Addr); got != 2 {
+		t.Fatalf("repair of a dead row pinged its entry %d times in total, want 2", got)
+	}
+	if got, ok := x.Rows()[0]; ok {
+		t.Fatalf("dead row 0 entry survived repair: %v", got)
+	}
+	if got := len(net.calls); got != 1 {
+		t.Fatalf("repair issued calls %v, want only the row pings", net.calls)
+	}
+}
+
+// TestLeafProbeRespOmitsRequester: a leaf-probe reply lists every leaf
+// but the requester; a requester outside the leaf set, or an anonymous
+// one, gets the whole leaf set.
+func TestLeafProbeRespOmitsRequester(t *testing.T) {
+	_, rs := convergedRing(t)
+	for i, x := range rs {
+		cw, ccw := x.Leaves()
+		leaves := append(cw, ccw...)
+		probe := func(from wire.Contact) []wire.Contact {
+			resp := &wire.Message{}
+			if !x.HandleRequest(&wire.Message{Type: wire.TLeafProbe, From: from}, resp) {
+				t.Fatal("TLeafProbe not handled")
+			}
+			if resp.Type != wire.TLeafProbeResp {
+				t.Fatalf("reply type %d, want TLeafProbeResp", resp.Type)
+			}
+			return resp.Leaves
+		}
+		for _, lf := range leaves {
+			got := probe(lf)
+			if listsContact(got, lf.ID) {
+				t.Errorf("node %d's reply to leaf %d lists the requester: %v", x.self.ID, lf.ID, got)
+			}
+			if len(got) != len(leaves)-1 {
+				t.Errorf("node %d's reply to leaf %d has %d leaves, want %d", x.self.ID, lf.ID, len(got), len(leaves)-1)
+			}
+		}
+		// rs[i+8] sits across the ring, beyond both leaf sides.
+		for _, from := range []wire.Contact{{}, rs[(i+8)%len(rs)].self} {
+			if got := probe(from); len(got) != len(leaves) {
+				t.Errorf("node %d's reply to non-leaf %v has %d leaves, want %d", x.self.ID, from, len(got), len(leaves))
+			}
+		}
+	}
+}
+
+// BenchmarkStabilizePastry prices one maintenance round on the
+// converged 16-node fake ring: RPCs issued per Stabilize (rpcs/round),
+// and the CPU and allocations of the round itself.
+func BenchmarkStabilizePastry(b *testing.B) {
+	net, rs := convergedRing(b)
+	x := rs[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x.Stabilize()
+	}
+	b.StopTimer()
+	rpcs := 0
+	for c, k := range net.calls {
+		if c.from == x.self.Addr {
+			rpcs += k
+		}
+	}
+	b.ReportMetric(float64(rpcs)/float64(b.N), "rpcs/round")
+}
