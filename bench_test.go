@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"peercache/internal/chord"
-	"peercache/internal/chordproto"
 	"peercache/internal/core"
 	"peercache/internal/experiment"
 	"peercache/internal/freq"
@@ -20,7 +19,6 @@ import (
 	"peercache/internal/pastry"
 	"peercache/internal/pgrid"
 	"peercache/internal/randx"
-	"peercache/internal/sim"
 	"peercache/internal/skipgraph"
 )
 
@@ -312,25 +310,4 @@ func BenchmarkOverlayBuilds(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkChordProtoConvergence measures a full message-level ring
-// build: staggered joins plus stabilization to quiescence.
-func BenchmarkChordProtoConvergence(b *testing.B) {
-	rng := randx.New(29)
-	raw := randx.UniqueIDs(rng, 64, 1<<24)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eng := sim.New()
-		nw := chordproto.New(chordproto.Config{Space: id.NewSpace(24), Seed: 1},
-			eng, rand.New(rand.NewSource(1)))
-		if _, err := nw.Bootstrap(id.ID(raw[0])); err != nil {
-			b.Fatal(err)
-		}
-		for j, x := range raw[1:] {
-			x := x
-			eng.At(float64(j)*2, func() { _ = nw.Join(id.ID(x), id.ID(raw[0]), nil) })
-		}
-		eng.RunUntil(float64(len(raw))*2 + 300)
-	}
 }

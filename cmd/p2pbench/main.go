@@ -17,8 +17,7 @@
 //
 //	p2pbench -live [-proto chord|pastry|kademlia|all] [-n 1024]
 //	         [-seed 1] [-aux 8] [-quick] [-out BENCH_live.json]
-//	         [-compare BENCH_live.json] [-hops-tolerance 0.75]
-//	         [-ttfb-tolerance 3] [-repl-tolerance 2] [-p99-tolerance 3]
+//	         [-compare BENCH_live.json]
 //	         [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // Schema check only: p2pbench -validate BENCH_live.json
@@ -61,10 +60,6 @@ func main() {
 		aux        = flag.Int("aux", 8, "live auxiliary-neighbor budget k")
 		out        = flag.String("out", "", "live: write BENCH_live.json here (default: stdout)")
 		compare    = flag.String("compare", "", "live: baseline BENCH_live.json to gate mean hops against")
-		tolerance  = flag.Float64("hops-tolerance", 0.75, "live: allowed mean-hops excess over -compare baseline")
-		ttfbTol    = flag.Float64("ttfb-tolerance", 3, "live: allowed stream-TTFB multiple of -compare baseline (0 disables)")
-		replTol    = flag.Float64("repl-tolerance", 2, "live: allowed anti-entropy-reduction shrink factor vs -compare baseline (0 disables)")
-		p99Tol     = flag.Float64("p99-tolerance", 3, "live: allowed WAN-QoS-p99 multiple of -compare baseline (0 disables)")
 		validate   = flag.String("validate", "", "validate a BENCH_live.json against the schema and exit")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile here (live mode)")
 		memprofile = flag.String("memprofile", "", "write a heap profile here (live mode)")
@@ -80,7 +75,7 @@ func main() {
 		return
 	}
 	if *live {
-		runLive(*proto, *fixedN, *seed, *bits, *aux, *quick, *out, *compare, *tolerance, *ttfbTol, *replTol, *p99Tol, *cpuprofile, *memprofile)
+		runLive(*proto, *fixedN, *seed, *bits, *aux, *quick, *out, *compare, *cpuprofile, *memprofile)
 		return
 	}
 
@@ -174,7 +169,7 @@ func main() {
 // runLive executes the live benchmark for the selected geometries and
 // handles output, schema self-validation, baseline comparison, and
 // profiling.
-func runLive(proto string, n int, seed int64, bits uint, aux int, quick bool, out, compare string, tolerance, ttfbTol, replTol, p99Tol float64, cpuprofile, memprofile string) {
+func runLive(proto string, n int, seed int64, bits uint, aux int, quick bool, out, compare, cpuprofile, memprofile string) {
 	protos := livebench.Protos
 	if proto != "all" {
 		protos = []string{proto}
@@ -242,11 +237,11 @@ func runLive(proto string, n int, seed int64, bits uint, aux int, quick bool, ou
 		if err != nil {
 			fatalf("-compare: %v", err)
 		}
-		if err := livebench.Compare(baseline, runs, tolerance, ttfbTol, replTol, p99Tol); err != nil {
+		if err := livebench.Compare(baseline, runs); err != nil {
 			fatalf("%v", err)
 		}
-		fmt.Fprintf(os.Stderr, "p2pbench: mean hops within %.2f of %s baseline (ttfb gate %.1fx, repl gate 1/%.1f, wan p99 gate %.1fx)\n",
-			tolerance, compare, ttfbTol, replTol, p99Tol)
+		fmt.Fprintf(os.Stderr, "p2pbench: mean hops within %.2f of %s baseline (ttfb gate %dx, repl gate 1/%d, wan p99 gate %dx)\n",
+			livebench.HopsTolerance, compare, livebench.TTFBTolerance, livebench.ReplTolerance, livebench.P99Tolerance)
 	}
 }
 

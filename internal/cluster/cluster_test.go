@@ -197,7 +197,8 @@ func TestClusterPartitionHealAuxGain(t *testing.T) {
 
 // TestClusterLookupsUnderLoss runs a smaller overlay on a lossy network
 // and checks the retry policy absorbs the loss: almost every lookup
-// still resolves to the correct oracle owner.
+// still resolves to the correct oracle owner, and once the loss lifts
+// the ring converges back to the oracle.
 func TestClusterLookupsUnderLoss(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node in-process cluster test")
@@ -242,6 +243,48 @@ func TestClusterLookupsUnderLoss(t *testing.T) {
 	}
 	if s := nw.Stats(); s.Dropped == 0 {
 		t.Fatalf("loss policy never fired: %+v", s)
+	}
+	// Loss ends; whatever the dropped maintenance legs cost (successors
+	// or fingers given up as unreachable), the ring must return to
+	// exactly the oracle state.
+	nw.SetDefaultPolicy(memnet.LinkPolicy{})
+	if err := cl.WaitConverged(30 * time.Second); err != nil {
+		t.Fatalf("after loss: %v", err)
+	}
+}
+
+// TestClusterConvergesAfterMessageLoss builds the ring, not just
+// queries it, under loss: the joins and the first stabilize rounds run
+// lossy, and once the network calms down the ring must converge to
+// exactly the oracle state. Every lost leg surfaces as an RPC timeout,
+// the caller treats the peer as unreachable (dropping successors,
+// giving up fingers, retrying the join walk), and stabilize and
+// fix-fingers must repair all of that damage.
+func TestClusterConvergesAfterMessageLoss(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-node in-process cluster test")
+	}
+	const numNodes = 16
+	space := id.NewSpace(16)
+	ids := randx.UniqueIDs(rand.New(rand.NewSource(21)), numNodes, space.Size())
+
+	nw := memnet.New(21)
+	nw.SetDefaultPolicy(memnet.LinkPolicy{Drop: 0.05})
+	cl, err := Start(space, nw, ids, func(i int, cfg *node.Config) {
+		cfg.RPCRetries = 3
+	})
+	if err != nil {
+		t.Fatalf("joins under loss: %v", err)
+	}
+	defer cl.Close()
+	time.Sleep(500 * time.Millisecond) // lossy maintenance after the last join
+	if s := nw.Stats(); s.Dropped == 0 {
+		t.Fatalf("loss policy never fired: %+v", s)
+	}
+
+	nw.SetDefaultPolicy(memnet.LinkPolicy{})
+	if err := cl.WaitConverged(30 * time.Second); err != nil {
+		t.Fatalf("after loss: %v", err)
 	}
 }
 

@@ -4,6 +4,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"peercache/internal/id"
+	"peercache/internal/randx"
 )
 
 func TestExtMaintenance(t *testing.T) {
@@ -38,6 +41,19 @@ func TestExtMaintenance(t *testing.T) {
 		v := parse(strings.TrimSuffix(row[3], "%"))
 		if v <= 0 {
 			t.Errorf("k=%s: non-positive reduction %q", row[0], row[3])
+		}
+	}
+	// Every node installs exactly k aux entries, so each row prices
+	// the budget it names.
+	space := id.NewSpace(16)
+	const k = 4
+	_, installed, err := liveMaintenance(space, randx.UniqueIDs(randx.New(5), 24, space.Size()), k, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, got := range installed {
+		if got != k {
+			t.Errorf("node %d installed %d aux entries, want %d", i, got, k)
 		}
 	}
 }

@@ -271,32 +271,30 @@ func (f *File) Validate() error {
 	return nil
 }
 
-// Compare gates runs against a committed baseline: for every geometry
-// present in both, the new mean hop count must not exceed the
-// baseline's by more than hopsTolerance (additive — hops are the
-// routing-quality signal and stable across machine speeds, where
-// latency and throughput are not), and when both sides carry streaming
-// results the new stream TTFB must not exceed the baseline's by more
-// than the multiplicative ttfbTolerance. TTFB is machine-speed
-// sensitive, so its gate is a coarse fell-off-a-cliff guard with
-// generous headroom, not a hop-style budget; it is skipped entirely
-// when either side predates the streaming phase (v1 baselines) or
-// ttfbTolerance is zero. When both sides carry replication data (v3),
-// the new run's anti-entropy reduction (repl_reduction, the full-push
-// bytes over the digest bytes actually sent) must not fall below the
-// baseline's divided by replTolerance — the ratio is scale- and
-// machine-stable where the raw byte rates are not (a quick CI run has
-// fewer nodes, so cluster-wide bytes/s is incomparable, but how many
-// bytes the digests save per byte sent is the protocol property being
-// guarded). Zero replTolerance disables that gate. When both sides
-// carry WAN results (v4), the new run's QoS-arm tail latency
-// (wan_qos_p99_us) must not exceed the baseline's by more than the
-// multiplicative p99Tolerance — like TTFB it is machine-speed
-// sensitive, so the gate is a coarse cliff guard; zero p99Tolerance or
-// a pre-WAN side skips it. Geometries in only one side are ignored, so
+// Compare's gates. Hops are the routing-quality signal and survive
+// machine-speed differences, so their gate is an additive budget.
+// Stream TTFB and WAN tail latency do not, so theirs are coarse
+// fell-off-a-cliff multiples. The anti-entropy reduction is a ratio,
+// stable across scale and machine where raw byte rates are not, so its
+// gate is a shrink factor.
+const (
+	HopsTolerance = 0.75 // allowed mean-hops excess over the baseline
+	TTFBTolerance = 3    // allowed stream-TTFB multiple of the baseline
+	ReplTolerance = 2    // allowed anti-entropy-reduction shrink factor
+	P99Tolerance  = 3    // allowed WAN-QoS-p99 multiple of the baseline
+)
+
+// Compare gates runs against a committed baseline, per geometry present
+// in both: mean hops within HopsTolerance of the baseline's, stream TTFB
+// within TTFBTolerance times it, the anti-entropy reduction
+// (repl_reduction, the full-push bytes over the digest bytes actually
+// sent) above the baseline's divided by ReplTolerance, and the WAN
+// QoS-arm tail latency (wan_qos_p99_us) within P99Tolerance times it.
+// A gate is skipped when either side predates its phase (streaming v2,
+// replication v3, WAN v4). Geometries in only one side are ignored, so
 // a quick CI run (smaller n, where hops are lower anyway) still
 // compares meaningfully against the committed full-scale file.
-func Compare(baseline *File, runs []Result, hopsTolerance, ttfbTolerance, replTolerance, p99Tolerance float64) error {
+func Compare(baseline *File, runs []Result) error {
 	base := make(map[string]Result, len(baseline.Runs))
 	for _, r := range baseline.Runs {
 		base[r.Proto] = r
@@ -306,24 +304,21 @@ func Compare(baseline *File, runs []Result, hopsTolerance, ttfbTolerance, replTo
 		if !ok {
 			continue
 		}
-		if r.MeanHops > b.MeanHops+hopsTolerance {
+		if r.MeanHops > b.MeanHops+HopsTolerance {
 			return fmt.Errorf("livebench: %s mean hops %.3f exceeds baseline %.3f by more than %.2f (n=%d vs baseline n=%d)",
-				r.Proto, r.MeanHops, b.MeanHops, hopsTolerance, r.Nodes, b.Nodes)
+				r.Proto, r.MeanHops, b.MeanHops, HopsTolerance, r.Nodes, b.Nodes)
 		}
-		if ttfbTolerance > 0 && r.StreamTTFBUS > 0 && b.StreamTTFBUS > 0 &&
-			r.StreamTTFBUS > b.StreamTTFBUS*ttfbTolerance {
-			return fmt.Errorf("livebench: %s stream ttfb %.0fus exceeds %.1fx the baseline %.0fus (n=%d vs baseline n=%d)",
-				r.Proto, r.StreamTTFBUS, ttfbTolerance, b.StreamTTFBUS, r.Nodes, b.Nodes)
+		if r.StreamTTFBUS > 0 && b.StreamTTFBUS > 0 && r.StreamTTFBUS > b.StreamTTFBUS*TTFBTolerance {
+			return fmt.Errorf("livebench: %s stream ttfb %.0fus exceeds %dx the baseline %.0fus (n=%d vs baseline n=%d)",
+				r.Proto, r.StreamTTFBUS, TTFBTolerance, b.StreamTTFBUS, r.Nodes, b.Nodes)
 		}
-		if replTolerance > 0 && r.ReplReduction > 0 && b.ReplReduction > 0 &&
-			r.ReplReduction < b.ReplReduction/replTolerance {
-			return fmt.Errorf("livebench: %s anti-entropy reduction %.2fx below 1/%.1f of the baseline %.2fx (n=%d vs baseline n=%d)",
-				r.Proto, r.ReplReduction, replTolerance, b.ReplReduction, r.Nodes, b.Nodes)
+		if r.ReplReduction > 0 && b.ReplReduction > 0 && r.ReplReduction < b.ReplReduction/ReplTolerance {
+			return fmt.Errorf("livebench: %s anti-entropy reduction %.2fx below 1/%d of the baseline %.2fx (n=%d vs baseline n=%d)",
+				r.Proto, r.ReplReduction, ReplTolerance, b.ReplReduction, r.Nodes, b.Nodes)
 		}
-		if p99Tolerance > 0 && r.WANQoSP99US > 0 && b.WANQoSP99US > 0 &&
-			r.WANQoSP99US > b.WANQoSP99US*p99Tolerance {
-			return fmt.Errorf("livebench: %s WAN QoS p99 %.0fus exceeds %.1fx the baseline %.0fus (n=%d vs baseline n=%d)",
-				r.Proto, r.WANQoSP99US, p99Tolerance, b.WANQoSP99US, r.Nodes, b.Nodes)
+		if r.WANQoSP99US > 0 && b.WANQoSP99US > 0 && r.WANQoSP99US > b.WANQoSP99US*P99Tolerance {
+			return fmt.Errorf("livebench: %s WAN QoS p99 %.0fus exceeds %dx the baseline %.0fus (n=%d vs baseline n=%d)",
+				r.Proto, r.WANQoSP99US, P99Tolerance, b.WANQoSP99US, r.Nodes, b.Nodes)
 		}
 	}
 	return nil

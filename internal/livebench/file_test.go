@@ -27,7 +27,7 @@ func goodRun(proto string) Result {
 		HotReads: 512, HotDegradedReads: 64,
 		HotOwnerOpsPerSec: 3000, HotAnyOpsPerSec: 3100, HotDegradedOpsPerSec: 150,
 		ReplicaHitRate: 0.8,
-		WANRegions: 3, WANScale: 0.12, WANSources: 32, WANHotKeys: 16,
+		WANRegions:     3, WANScale: 0.12, WANSources: 32, WANHotKeys: 16,
 		WANOps: 256, WANQoSBoundMS: 12.5,
 		WANHopP50US: 9000, WANHopP99US: 42000,
 		WANQoSP50US: 8000, WANQoSP99US: 30000,
@@ -335,29 +335,29 @@ func TestCompare(t *testing.T) {
 
 	ok := goodRun("chord")
 	ok.MeanHops = baseline.Runs[0].MeanHops + 0.5
-	if err := Compare(baseline, []Result{ok}, 0.75, 3, 2, 3); err != nil {
+	if err := Compare(baseline, []Result{ok}); err != nil {
 		t.Fatalf("within-tolerance run rejected: %v", err)
 	}
 
 	bad := goodRun("chord")
 	bad.MeanHops = baseline.Runs[0].MeanHops + 1.0
-	if err := Compare(baseline, []Result{bad}, 0.75, 3, 2, 3); err == nil {
+	if err := Compare(baseline, []Result{bad}); err == nil {
 		t.Fatal("regressed run accepted")
 	}
 
 	novel := goodRun("kademlia") // not in baseline: ignored
 	novel.MeanHops = 99
-	if err := Compare(baseline, []Result{novel}, 0.75, 3, 2, 3); err != nil {
+	if err := Compare(baseline, []Result{novel}); err != nil {
 		t.Fatalf("novel geometry gated against nothing: %v", err)
 	}
 
 	slow := goodRun("chord")
 	slow.StreamTTFBUS = baseline.Runs[0].StreamTTFBUS * 2
-	if err := Compare(baseline, []Result{slow}, 0.75, 3, 2, 3); err != nil {
+	if err := Compare(baseline, []Result{slow}); err != nil {
 		t.Fatalf("within-tolerance ttfb rejected: %v", err)
 	}
 	slow.StreamTTFBUS = baseline.Runs[0].StreamTTFBUS * 4
-	if err := Compare(baseline, []Result{slow}, 0.75, 3, 2, 3); err == nil {
+	if err := Compare(baseline, []Result{slow}); err == nil {
 		t.Fatal("cliff-regressed ttfb accepted")
 	}
 
@@ -365,7 +365,7 @@ func TestCompare(t *testing.T) {
 	// fire against a zero.
 	v1 := NewFile([]Result{goodRun("chord")})
 	v1.Runs[0].StreamTTFBUS = 0
-	if err := Compare(v1, []Result{slow}, 0.75, 3, 2, 3); err != nil {
+	if err := Compare(v1, []Result{slow}); err != nil {
 		t.Fatalf("ttfb gated against a streamless baseline: %v", err)
 	}
 
@@ -374,19 +374,16 @@ func TestCompare(t *testing.T) {
 	// replication data (v2 and earlier) disables the gate.
 	lessEff := goodRun("chord")
 	lessEff.ReplReduction = baseline.Runs[0].ReplReduction / 1.5
-	if err := Compare(baseline, []Result{lessEff}, 0.75, 3, 2, 3); err != nil {
+	if err := Compare(baseline, []Result{lessEff}); err != nil {
 		t.Fatalf("within-shrink-factor reduction rejected: %v", err)
 	}
 	lessEff.ReplReduction = baseline.Runs[0].ReplReduction / 4
-	if err := Compare(baseline, []Result{lessEff}, 0.75, 3, 2, 3); err == nil {
+	if err := Compare(baseline, []Result{lessEff}); err == nil {
 		t.Fatal("collapsed anti-entropy reduction accepted")
-	}
-	if err := Compare(baseline, []Result{lessEff}, 0.75, 3, 0, 3); err != nil {
-		t.Fatalf("disabled repl gate still fired: %v", err)
 	}
 	v2 := NewFile([]Result{goodRun("chord")})
 	stripRepl(&v2.Runs[0])
-	if err := Compare(v2, []Result{lessEff}, 0.75, 3, 2, 3); err != nil {
+	if err := Compare(v2, []Result{lessEff}); err != nil {
 		t.Fatalf("repl gated against a pre-digest baseline: %v", err)
 	}
 }

@@ -77,8 +77,8 @@ func (r *Ring) Protocol() string { return "chord" }
 
 // Join enters the overlay through a peer listening at bootstrap: an
 // iterative find-successor for the node's own id yields its successor;
-// stabilization then integrates the node into the ring, exactly as in
-// chordproto.Join.
+// stabilization then integrates the node into the ring, as in the Chord
+// paper's join.
 func (r *Ring) Join(bootstrap string) error {
 	cur := bootstrap
 	for hops := 0; hops <= r.maxHops; hops++ {
@@ -336,7 +336,7 @@ func (r *Ring) Stabilize() {
 	if resp.HasPred && resp.Pred.ID != r.self.ID && resp.Pred.Addr != "" &&
 		r.space.Between(resp.Pred.ID, r.self.ID, s.ID) {
 		// A closer successor exists — verify it answers before
-		// adopting it (chordproto consults liveness here too).
+		// adopting it.
 		if _, err := r.h.Call(resp.Pred.Addr, &wire.Message{Type: wire.TPing}); err == nil {
 			r.adoptSuccessor(resp.Pred)
 			cand = resp.Pred
@@ -370,9 +370,9 @@ func (r *Ring) Stabilize() {
 // RepairTable refreshes RepairBatch fingers per call (one by default),
 // round-robin: finger i is the first node in (self+2^i, self+2^{i+1}],
 // found with an iterative lookup; an out-of-interval answer clears the
-// entry (chordproto's interval rule). Batching divides the table's full
-// refresh time by issuing several independent lookups per tick — the
-// lever that pulls large-ring cold-start convergence down from minutes.
+// entry. Batching divides the table's full refresh time by issuing
+// several independent lookups per tick — the lever that pulls
+// large-ring cold-start convergence down from minutes.
 func (r *Ring) RepairTable() {
 	for b := 0; b < r.repairBatch; b++ {
 		r.mu.Lock()

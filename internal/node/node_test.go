@@ -59,7 +59,7 @@ func startCluster(t *testing.T, space id.Space, ids []uint64, mod func(*Config))
 
 // expectedFingers computes the converged finger list of x over the given
 // sorted ring, with the protocol's interval rule and consecutive-dup
-// elision (the same derivation chordproto's tests make via the oracle).
+// elision (the same derivation as cluster.ExpectedFingers).
 func expectedFingers(space id.Space, ring []id.ID, x id.ID) []id.ID {
 	var out []id.ID
 	for i := uint(0); i < space.Bits(); i++ {

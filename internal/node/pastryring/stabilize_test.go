@@ -19,6 +19,8 @@ type fakeNet struct {
 	rings map[string]*Ring
 	dead  map[string]bool
 	calls map[fakeCall]int // Calls issued, by caller, callee and type
+	// resolve answers every Host.Resolve on the net; nil fails them.
+	resolve func(target id.ID) (wire.Contact, error)
 }
 
 type fakeCall struct {
@@ -42,9 +44,8 @@ func (n *fakeNet) count(r *Ring, typ wire.Type, to string) int {
 	return total
 }
 
-// fakeHost is one ring's ring.Host on a fakeNet. Resolve is
-// unavailable: the tests here drive leaf probes, row gossip and the
-// populated-row half of RepairTable, none of which walks the ring.
+// fakeHost is one ring's ring.Host on a fakeNet. Resolve defers to the
+// net's resolve function, standing in for the runtime's lookup driver.
 type fakeHost struct {
 	self  wire.Contact
 	space id.Space
@@ -62,8 +63,17 @@ func (h *fakeHost) Call(addr string, req *wire.Message) (*wire.Message, error) {
 	}
 	req.From = h.self
 	resp := &wire.Message{From: peer.self}
-	if req.Type == wire.TPing {
+	switch req.Type {
+	case wire.TPing:
 		resp.Type = wire.TPong
+		return resp, nil
+	case wire.TFindSucc:
+		resp.Type = wire.TFindSuccResp
+		if hop, done := peer.NextHop(req.Target); done {
+			resp.Done, resp.Found = true, hop
+		} else {
+			resp.Next = hop
+		}
 		return resp, nil
 	}
 	if !peer.HandleRequest(req, resp) {
@@ -75,7 +85,11 @@ func (h *fakeHost) Call(addr string, req *wire.Message) (*wire.Message, error) {
 func (h *fakeHost) Send(addr string, m *wire.Message) {}
 
 func (h *fakeHost) Resolve(target id.ID) (wire.Contact, int, error) {
-	return wire.Contact{}, 0, fmt.Errorf("fakehost: resolve unavailable")
+	if h.net.resolve == nil {
+		return wire.Contact{}, 0, fmt.Errorf("fakehost: resolve unavailable")
+	}
+	c, err := h.net.resolve(target)
+	return c, 1, err
 }
 
 func (h *fakeHost) Note(c wire.Contact)                 {}
@@ -249,6 +263,89 @@ func TestRepairTablePingsPopulatedRow(t *testing.T) {
 	}
 	if got := len(net.calls); got != 1 {
 		t.Fatalf("repair issued calls %v, want only the row pings", net.calls)
+	}
+}
+
+// TestRepairTableFillsEmptyRow: RepairTable's turn at an empty row
+// resolves an id in the row's subtree and adopts the answer; a failed
+// resolve leaves the row empty.
+func TestRepairTableFillsEmptyRow(t *testing.T) {
+	net, rs := convergedRing(t)
+	x := rs[0]
+	space := x.space
+	// Every other node sits in another 4096-id block, so x's rows from
+	// 4 down are empty.
+	for _, l := range []uint{4, 5} {
+		if _, ok := x.Rows()[l]; ok {
+			t.Fatalf("setup: row %d is populated", l)
+		}
+	}
+
+	var target id.ID
+	net.resolve = func(tg id.ID) (wire.Contact, error) {
+		target = tg
+		return net.addRing(t, space, tg).self, nil
+	}
+	x.nextRow = 4
+	x.RepairTable()
+	if got := space.CommonPrefixLen(x.self.ID, target); got != 4 {
+		t.Fatalf("row 4 repair resolved %d, which shares %d prefix bits with %d", target, got, x.self.ID)
+	}
+	if got, ok := x.Rows()[4]; !ok || got.ID != target {
+		t.Fatalf("row 4 after repair holds %v (%t), want the resolved node %d", got, ok, target)
+	}
+
+	// A failed lookup's partial answer is not adopted, even one that
+	// would fit the row.
+	net.resolve = func(tg id.ID) (wire.Contact, error) {
+		return net.addRing(t, space, tg).self, fmt.Errorf("lookup failed")
+	}
+	x.RepairTable()
+	if got, ok := x.Rows()[5]; ok {
+		t.Fatalf("row 5 filled with %v by a failed resolve", got)
+	}
+	if got := len(net.calls); got != 0 {
+		t.Fatalf("empty-row repairs issued calls %v, want none", net.calls)
+	}
+}
+
+// TestJoinWalkCopiesNeighborhood: a joiner walks from a far bootstrap
+// to the numerically closest node and ends with its true leaves and
+// every row that node's rows can fill.
+func TestJoinWalkCopiesNeighborhood(t *testing.T) {
+	net, rs := convergedRing(t)
+	space := rs[0].space
+	j := net.addRing(t, space, rs[0].self.ID+1000)
+	if err := j.Join(rs[8].self.Addr); err != nil {
+		t.Fatal(err)
+	}
+	if got := net.count(j, wire.TFindSucc, ""); got < 2 {
+		t.Fatalf("join from across the ring took %d find-successor steps, want a walk", got)
+	}
+
+	// Leaves: the 4 nearest members on each side of the joiner.
+	n := len(rs)
+	cw, ccw := j.Leaves()
+	for i := 0; i < 4; i++ {
+		if want := rs[1+i].self.ID; i >= len(cw) || cw[i].ID != want {
+			t.Fatalf("clockwise leaves %v, want %d at %d", cw, want, i)
+		}
+		if want := rs[(n-i)%n].self.ID; i >= len(ccw) || ccw[i].ID != want {
+			t.Fatalf("counter-clockwise leaves %v, want %d at %d", ccw, want, i)
+		}
+	}
+	// Rows: rs[0] shares a longer prefix with the joiner than with any
+	// other node, so each of rs[0]'s rows is one of the joiner's, and
+	// rs[0] itself fills the row of their common prefix.
+	cpl := space.CommonPrefixLen(j.self.ID, rs[0].self.ID)
+	rows := j.Rows()
+	for l := range rs[0].Rows() {
+		if _, ok := rows[l]; !ok && l < cpl {
+			t.Errorf("joiner row %d empty, bootstrap neighborhood has it", l)
+		}
+	}
+	if got, ok := rows[cpl]; !ok || got.ID != rs[0].self.ID {
+		t.Errorf("joiner row %d holds %v (%t), want %d", cpl, got, ok, rs[0].self.ID)
 	}
 }
 
