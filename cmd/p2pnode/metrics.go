@@ -85,13 +85,16 @@ type rttStats struct {
 	PerContact []contactRTTJSON `json:"per_contact"`
 }
 
-// contactRTTJSON is one contact's smoothed RTT, in milliseconds for
-// scrape ergonomics (dashboards want a float, not nanoseconds).
+// contactRTTJSON is one contact's smoothed RTT and RTT variation (the
+// lookup race hedges after srtt + 4·rttvar, at least 5 ms), in
+// milliseconds for scrape ergonomics (dashboards want a float, not
+// nanoseconds).
 type contactRTTJSON struct {
-	ID      uint64  `json:"id"`
-	Addr    string  `json:"addr"`
-	SRTTMs  float64 `json:"srtt_ms"`
-	Samples uint64  `json:"samples"`
+	ID       uint64  `json:"id"`
+	Addr     string  `json:"addr"`
+	SRTTMs   float64 `json:"srtt_ms"`
+	RTTVarMs float64 `json:"rttvar_ms"`
+	Samples  uint64  `json:"samples"`
 }
 
 // storeStats mirrors the data-plane subset of node.Metrics under
@@ -136,10 +139,11 @@ func payloadFor(n *node.Node) metricsPayload {
 	rttJSON := make([]contactRTTJSON, len(rtts))
 	for i, r := range rtts {
 		rttJSON[i] = contactRTTJSON{
-			ID:      uint64(r.ID),
-			Addr:    r.Addr,
-			SRTTMs:  float64(r.SRTT) / float64(time.Millisecond),
-			Samples: r.Samples,
+			ID:       uint64(r.ID),
+			Addr:     r.Addr,
+			SRTTMs:   float64(r.SRTT) / float64(time.Millisecond),
+			RTTVarMs: float64(r.RTTVar) / float64(time.Millisecond),
+			Samples:  r.Samples,
 		}
 	}
 	p := metricsPayload{

@@ -331,7 +331,7 @@ func TestMetricsReportRTTAcrossProtocols(t *testing.T) {
 			for _, c := range r.PerContact {
 				if c.ID == uint64(b.ID()) {
 					found = true
-					if c.SRTTMs <= 0 || c.Samples == 0 || c.Addr != b.Addr() {
+					if c.SRTTMs <= 0 || c.RTTVarMs <= 0 || c.Samples == 0 || c.Addr != b.Addr() {
 						t.Fatalf("estimate for %d implausible: %+v", b.ID(), c)
 					}
 				}

@@ -212,6 +212,7 @@ func selectionNode(t *testing.T, factory ring.Factory, space id.Space, self wire
 		self:   self,
 		rt:     fc,
 		addrs:  make(map[id.ID]string),
+		byAddr: make(map[string]id.ID),
 		rtt:    make(map[id.ID]rttEstimate),
 		window: freq.NewShared(auxWindowBuckets),
 	}

@@ -12,6 +12,7 @@ import (
 	"peercache/internal/node/kadring"
 	"peercache/internal/node/pastryring"
 	"peercache/internal/node/ring"
+	"peercache/internal/wire"
 )
 
 // parked is a Scheduler that runs maintenance only when the test says
@@ -112,6 +113,33 @@ func BenchmarkLookupHealthy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := nodes[0].Lookup(targets[i%len(targets)]); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLookupHedged is the paper's one-hop lookup through an aux
+// pointer with that hop's request lost: node 500 holds an aux pointer
+// aliased to key 60000 at its owner's address, memnet drops the first
+// datagram to the owner, and the race's hedge resolves the key through
+// the fallback candidates' chain. The time per lookup is the hedge
+// delay (the owner's RTO) plus that chain's round trips.
+func BenchmarkLookupHedged(b *testing.B) {
+	nodes, nw := parkedRing(b, id.NewSpace(16), benchIDs, nil)
+	a, target := nodes[0], id.ID(60000)
+	ownerAddr, ok := a.addrOf(61000)
+	if !ok {
+		b.Fatal("the owner is not in the contact cache")
+	}
+	if err := a.Ping(ownerAddr); err != nil {
+		b.Fatal(err)
+	}
+	a.rt.SetAux([]wire.Contact{{ID: target, Addr: ownerAddr}})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nw.DropNext(a.Addr(), ownerAddr, 1)
+		if owner, _, err := a.Lookup(target); err != nil || owner.ID != 61000 {
+			b.Fatalf("lookup %d: owner %d, %v", target, owner.ID, err)
 		}
 	}
 }

@@ -16,7 +16,8 @@ import (
 // source address — and it drops every request it receives. It never
 // joins, runs no maintenance and observes no lookup frequencies; every
 // walk runs on the node's lookup driver through an anonRouter. Safe for
-// concurrent use.
+// concurrent use. It keeps no RTT estimates, so its race hedges after
+// RPCTimeout/4.
 type Client struct {
 	cfg       Config
 	bootstrap string

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"peercache/internal/id"
+	"peercache/internal/wire"
 )
 
 // White-box tests of the lookup race's hedge over memnet, with
@@ -58,12 +59,26 @@ func settled(t *testing.T, a *Node, goroutines int) {
 	}
 }
 
-// The first probe's request is lost: after RPCTimeout/4 of silence the
-// hedge launches a second probe at the fallback, whose chain resolves
-// the key long before the first probe's attempt times out; the first
+// hedgeWait is the hedge delay the race arms for a probe to addr: the
+// contact's RTO, capped at RPCTimeout/4.
+func hedgeWait(a *Node, addr string) time.Duration {
+	return a.lk.hedgeDelay(addr, a.cfg.RPCTimeout/4)
+}
+
+// forgetRTT drops the estimate of the contact cached at addr, leaving
+// its address and routing entries alone.
+func forgetRTT(a *Node, addr string) {
+	a.addrMu.Lock()
+	delete(a.rtt, a.byAddr[addr])
+	a.addrMu.Unlock()
+}
+
+// checkHedged runs the lookup from a with the first datagram to
+// seed[0] lost and checks that the hedge launched a second probe no
+// sooner than wait and that no attempt timeout was waited out; the first
 // probe is cancelled and leaves nothing behind.
-func TestRaceHedgeLaunchesSecondProbe(t *testing.T) {
-	a, target, seed, drop := hedgeRing(t)
+func checkHedged(t *testing.T, a *Node, target id.ID, seed []string, drop func(string, int), wait time.Duration) {
+	t.Helper()
 	before := runtime.NumGoroutine()
 	rpcs := a.Metrics().RPCs
 	drop(seed[0], 1)
@@ -76,9 +91,8 @@ func TestRaceHedgeLaunchesSecondProbe(t *testing.T) {
 	if owner.ID != 61000 {
 		t.Fatalf("owner %d, want 61000", owner.ID)
 	}
-	stagger := a.cfg.RPCTimeout / 4
-	if elapsed < stagger || elapsed >= a.cfg.RPCTimeout {
-		t.Fatalf("lookup took %v: want the hedge (%v) to have fired and no attempt timeout (%v) to have been waited out", elapsed, stagger, a.cfg.RPCTimeout)
+	if elapsed < wait || elapsed >= a.cfg.RPCTimeout {
+		t.Fatalf("lookup took %v: want the hedge (%v) to have fired and no attempt timeout (%v) to have been waited out", elapsed, wait, a.cfg.RPCTimeout)
 	}
 	m := a.Metrics()
 	if m.RPCs-rpcs < 2 {
@@ -89,6 +103,80 @@ func TestRaceHedgeLaunchesSecondProbe(t *testing.T) {
 	}
 	if !slices.Contains(contactIDs(a.Fingers()), 42000) {
 		t.Fatal("the cancelled first probe retired its peer")
+	}
+	settled(t, a, before)
+}
+
+// The first probe's request is lost: once the probed contact's RTO has
+// passed in silence the hedge launches a second probe at the fallback,
+// whose chain resolves the key long before the first probe's attempt
+// times out.
+func TestRaceHedgeLaunchesSecondProbe(t *testing.T) {
+	a, target, seed, drop := hedgeRing(t)
+	rto, ok := a.rtoAt(seed[0])
+	if !ok {
+		t.Fatalf("no estimate for %s after the ring converged", seed[0])
+	}
+	wait := hedgeWait(a, seed[0])
+	if wait != min(rto, a.cfg.RPCTimeout/4) {
+		t.Fatalf("hedge delay %v, want the RTO %v capped at %v", wait, rto, a.cfg.RPCTimeout/4)
+	}
+	checkHedged(t, a, target, seed, drop, wait)
+}
+
+// A first probe at a contact never measured hedges after RPCTimeout/4,
+// the wait when no RTT is known.
+func TestRaceHedgeWithoutEstimateWaitsQuarterTimeout(t *testing.T) {
+	a, target, seed, drop := hedgeRing(t)
+	forgetRTT(a, seed[0])
+	if _, ok := a.rtoAt(seed[0]); ok {
+		t.Fatal("estimate survived forgetRTT")
+	}
+	if wait := hedgeWait(a, seed[0]); wait != a.cfg.RPCTimeout/4 {
+		t.Fatalf("hedge delay %v without an estimate, want %v", wait, a.cfg.RPCTimeout/4)
+	}
+	checkHedged(t, a, target, seed, drop, a.cfg.RPCTimeout/4)
+}
+
+// The first probe targets a position-aliased aux contact, {key
+// position, owner's address}: the estimator has nothing under the key
+// position, but the probe goes to the owner's address, so the hedge
+// waits the owner's RTO, not RPCTimeout/4.
+func TestRaceHedgeOnAliasedAuxUsesOwnerEstimate(t *testing.T) {
+	a, target, _, drop := hedgeRing(t)
+	ownerAddr, ok := a.addrOf(61000)
+	if !ok {
+		t.Fatal("the owner is not in the contact cache")
+	}
+	if err := a.Ping(ownerAddr); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := a.ContactRTT(target); ok {
+		t.Fatal("the key position has an estimate of its own")
+	}
+	wait := hedgeWait(a, ownerAddr)
+	if wait >= a.cfg.RPCTimeout/4 {
+		t.Fatalf("owner's hedge delay %v is the cap %v: no estimate to hedge on", wait, a.cfg.RPCTimeout/4)
+	}
+	// The alias sits at the key itself: NextHop picks it, the race
+	// probes it first, and the regular candidates are the fallbacks.
+	a.rt.SetAux([]wire.Contact{{ID: target, Addr: ownerAddr}})
+	if first := a.rt.Candidates(target, a.cfg.LookupAlpha)[0]; first.ID != target || first.Addr != ownerAddr {
+		t.Fatalf("first candidate %v, want the alias {%d, %s}", first, target, ownerAddr)
+	}
+	before := runtime.NumGoroutine()
+	drop(ownerAddr, 1)
+	start := time.Now()
+	owner, hops, err := a.FindSuccessor(target)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if owner.ID != 61000 || hops < 2 {
+		t.Fatalf("owner %d in %d hops, want 61000 through a fallback's chain", owner.ID, hops)
+	}
+	if elapsed < wait || elapsed >= a.cfg.RPCTimeout/4 {
+		t.Fatalf("lookup took %v: want the hedge to fire after the owner's RTO (%v), before the no-estimate wait (%v)", elapsed, wait, a.cfg.RPCTimeout/4)
 	}
 	settled(t, a, before)
 }

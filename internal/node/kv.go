@@ -49,8 +49,8 @@ type GetResult struct {
 	// Hops is the number of lookup RPCs spent resolving the owner; the
 	// GET RPC itself is not counted. 0 when served locally.
 	Hops int
-	// Local is true when the store or the item cache answered without
-	// touching the network.
+	// Local is true when the local store or the item cache supplied the
+	// value.
 	Local bool
 }
 
@@ -103,20 +103,27 @@ func checkValueLen(key id.ID, value []byte) error {
 		key, wire.ErrValueLen, len(value), wire.MaxValueLen)
 }
 
-// Get resolves key to its value: first from the local store (this node
-// owns or replicates the key), then from the item cache (a hot item
-// fetched before), and only then over the network — resolve the owner
-// with the frequency-observed iterative lookup and fetch the value with
-// a GET RPC, caching the copy for subsequent calls. The local tiers
-// never misreport absence: a store or cache miss falls through to the
-// owner, and only the owner's answer produces ErrNotFound.
+// Get resolves key to its value: first from the local store when this
+// node owns the key, then from the item cache (a hot item fetched
+// before), and only then over the network — resolve the owner with the
+// frequency-observed iterative lookup and fetch the value with a GET
+// RPC, caching the copy for subsequent calls. The local tiers never
+// misreport absence: a store or cache miss falls through to the owner,
+// and only the owner's answer produces ErrNotFound.
+//
+// A replica copy held here is not the owner's answer: it can be one
+// anti-entropy round behind an overwrite, and a node that owned the key
+// before a partition healed holds exactly such a copy. So Get is the
+// authoritative read the chunk layer's StrongGet escalates to, and a
+// held replica answers only when the network read fails.
 func (n *Node) Get(key id.ID) (GetResult, error) {
 	if uint64(key) >= n.cfg.Space.Size() {
 		return GetResult{}, fmt.Errorf("node: key %d outside %d-bit space", key, n.cfg.Space.Bits())
 	}
 	n.getsIssued.Add(1)
 	now := time.Now()
-	if value, version, ok := n.store.get(key, now); ok {
+	value, version, held := n.store.get(key, now)
+	if held && n.rt.Owns(key) {
 		n.storeHits.Add(1)
 		return GetResult{Value: value, Version: version, Local: true}, nil
 	}
@@ -126,6 +133,20 @@ func (n *Node) Get(key id.ID) (GetResult, error) {
 			return GetResult{Value: c.value, Version: c.version, Local: true}, nil
 		}
 	}
+	res, err := n.getFromOwner(key, now)
+	if err != nil && held {
+		// No copy came back from the network: the replica held here is
+		// the best answer left.
+		n.storeHits.Add(1)
+		return GetResult{Value: value, Version: version, Hops: res.Hops, Local: true}, nil
+	}
+	return res, err
+}
+
+// getFromOwner is Get's network read: resolve the owner with the
+// frequency-observed lookup and fetch the value with a GET RPC, caching
+// the copy.
+func (n *Node) getFromOwner(key id.ID, now time.Time) (GetResult, error) {
 	owner, hops, err := n.Lookup(key)
 	if err != nil {
 		return GetResult{Hops: hops}, err

@@ -183,6 +183,49 @@ func TestKVReplicationSurvivesOwnerFailure(t *testing.T) {
 	}
 }
 
+// A replica copy lags an overwrite until the owner's next anti-entropy
+// round, and Get, the authoritative read, must not answer from it: a
+// replica holder asks the owner. This is the stale read behind a chunk
+// digest mismatch that survived the StrongGet escalation, when a chunk
+// key landed on a preloaded key whose replica sat at the reading node.
+// A held replica still answers when the owner cannot.
+func TestGetOnReplicaHolderReadsOwner(t *testing.T) {
+	nodes, nw := parkedRing(t, id.NewSpace(16), []uint64{100, 20000, 40000}, func(c *Config) {
+		c.ItemCacheCapacity = -1
+	})
+	a, b, c := nodes[0], nodes[1], nodes[2]
+	key := id.ID(30000) // owned by c; its replicas go to a and b
+	if _, err := b.Put(key, []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	c.ReplicationRound()
+	deadline := time.Now().Add(5 * time.Second)
+	for { // the diff travels as one-way Replicate datagrams
+		v, ver, ok := a.store.get(key, time.Now())
+		if ok && string(v) == "old" && ver == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replica at %d: %q v%d %t, want old v1", a.ID(), v, ver, ok)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if put, err := b.Put(key, []byte("new")); err != nil || put.Version != 2 {
+		t.Fatalf("overwrite: %+v, %v", put, err)
+	}
+	got, err := a.Get(key)
+	if err != nil || string(got.Value) != "new" || got.Version != 2 {
+		t.Fatalf("get at the replica holder: %q v%d, %v; want the owner's new v2", got.Value, got.Version, err)
+	}
+	// Cut off from every peer, the held copy is the best answer left.
+	nw.Partition("reader", a.Addr())
+	defer nw.Heal("reader")
+	got, err = a.Get(key)
+	if err != nil || string(got.Value) != "old" || !got.Local {
+		t.Fatalf("get with no peer reachable: %+v, %v; want the held replica", got, err)
+	}
+}
+
 // FindValue's probe frontier must rank the key's owner side early on
 // chord's asymmetric clockwise metric. The metric measures routing
 // progress toward the key, so the owner — sitting just past it — ranks

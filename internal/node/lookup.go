@@ -38,11 +38,14 @@ type lookup struct {
 	timeout time.Duration
 	retries int
 	maxHops int
-	// note records every contact a response names, and rtt reads a
-	// contact's smoothed RTT for proximity routing. Either may be nil; a
-	// driver without rtt never routes by proximity.
+	// note records every contact a response names; rtt and rto read the
+	// smoothed RTT and the RTO of the contact at an address, for
+	// proximity routing and the hedge delay. Any may be nil: without rtt
+	// the race never routes by proximity, and without rto it hedges
+	// after timeout/4.
 	note func(wire.Contact)
-	rtt  func(id.ID) (time.Duration, bool)
+	rtt  func(addr string) (time.Duration, bool)
+	rto  func(addr string) (time.Duration, bool)
 }
 
 // newLookup builds a driver with cfg's lookup policy and no hooks.
@@ -96,12 +99,14 @@ const qosProbeWindow = 4
 // whose geometry distance is within ~2× the best remaining distance —
 // so a cheap-link detour still halves the gap and the walk keeps its
 // O(log n) convergence — the one with the lowest measured smoothed
-// RTT. Candidates without a measurement are skipped (no opinion), and
-// if nothing in the window is measured the geometry's own first pick
+// RTT. The RTT is looked up by the address the probe goes to, so an
+// aux contact aliased to a key position is measured as its owner.
+// Candidates without a measurement are skipped (no opinion), and if
+// nothing in the window is measured the geometry's own first pick
 // stands, so the mode degrades to plain greedy exactly where the RTT
 // plane has no data. The 2× test is done as dist>>1 <= best to stay
 // overflow-safe on full-width ring distances.
-func qosProbeIndex(frontier []frontierEntry, rtt func(id.ID) (time.Duration, bool)) int {
+func qosProbeIndex(frontier []frontierEntry, rtt func(addr string) (time.Duration, bool)) int {
 	best := -1
 	var bestRTT time.Duration
 	limit := len(frontier)
@@ -112,7 +117,7 @@ func qosProbeIndex(frontier []frontierEntry, rtt func(id.ID) (time.Duration, boo
 		if frontier[i].dist>>1 > frontier[0].dist {
 			break // sorted frontier: every later entry is farther still
 		}
-		if d, ok := rtt(frontier[i].c.ID); ok && (best < 0 || d < bestRTT) {
+		if d, ok := rtt(frontier[i].c.Addr); ok && (best < 0 || d < bestRTT) {
 			best, bestRTT = i, d
 		}
 	}
@@ -136,11 +141,17 @@ func qosProbeIndex(frontier []frontierEntry, rtt func(id.ID) (time.Duration, boo
 // Launches are hedged, not eager: every response or probe failure
 // launches one follow-up probe immediately (the chain a serial walk
 // would make), and an *additional* probe launches only when no event
-// has arrived for timeout/4. On a healthy network the first probe of
-// each step answers well inside the stagger, so traffic stays at the
-// serial walk's one-probe-per-step; under loss or a stalled peer the
-// hedge fires long before the full timeout-and-retry budget burns,
-// which is where racing wins. Eagerly filling all α slots per step
+// has arrived within the hedge delay. Each launch re-arms that delay to
+// the launched contact's RTO (rtt.go), capped at timeout/4; the RTO is
+// found by the probe's address, so an aliased aux contact hedges on its
+// owner's measurements, and a contact never measured waits the full
+// timeout/4. On a healthy network the first probe of each step answers
+// inside its RTO, so traffic stays at the serial walk's
+// one-probe-per-step; under loss or a stalled peer the hedge fires once
+// the silence outlasts what the link has needed so far, long before the
+// timeout-and-retry budget burns, which is where racing wins. The
+// probe itself keeps its full timeout and retries: the hedge only adds
+// a racer. Eagerly filling all α slots per step
 // triples healthy-path traffic for nothing — and worse, one scheduling
 // stall then times out α probes at once, and the resulting DropPeer
 // burst can collapse a chord node's entire successor list, after which
@@ -219,8 +230,14 @@ func (l *lookup) race(target id.ID, seed []wire.Contact, valueMode, qos bool) (r
 		lastPeer wire.Contact
 	)
 	qos = qos && l.rtt != nil
+	maxStagger := l.timeout / 4
+	if maxStagger <= 0 {
+		maxStagger = time.Millisecond
+	}
+	stagger := maxStagger
+	canLaunch := func() bool { return inflight < l.alpha && len(frontier) > 0 && hops < l.maxHops }
 	launch := func() {
-		if inflight < l.alpha && len(frontier) > 0 && hops < l.maxHops {
+		if canLaunch() {
 			i := 0
 			if qos {
 				i = qosProbeIndex(frontier, l.rtt)
@@ -229,15 +246,12 @@ func (l *lookup) race(target id.ID, seed []wire.Contact, valueMode, qos bool) (r
 			frontier = append(frontier[:i], frontier[i+1:]...)
 			hops++
 			inflight++
+			stagger = l.hedgeDelay(e.c.Addr, maxStagger)
 			go func(e frontierEntry) {
 				resp, err := l.tr.callCancel(e.c.Addr, makeReq(), l.timeout, l.retries, cancel)
 				results <- probeResult{peer: e.c, depth: e.depth, resp: resp, err: err}
 			}(e)
 		}
-	}
-	stagger := l.timeout / 4
-	if stagger <= 0 {
-		stagger = time.Millisecond
 	}
 	hedge := time.NewTimer(stagger)
 	defer hedge.Stop()
@@ -249,11 +263,18 @@ func (l *lookup) race(target id.ID, seed []wire.Contact, valueMode, qos bool) (r
 			default:
 			}
 		}
-		hedge.Reset(stagger)
+		// The hedge is armed only while it has something to launch: with
+		// every slot busy or the frontier drained, only a result can
+		// change that, and a short RTO must not spin the loop meanwhile.
+		var fire <-chan time.Time
+		if canLaunch() {
+			hedge.Reset(stagger)
+			fire = hedge.C
+		}
 		var r probeResult
 		select {
 		case r = <-results:
-		case <-hedge.C:
+		case <-fire:
 			launch()
 			continue
 		}
@@ -305,6 +326,18 @@ func (l *lookup) race(target id.ID, seed []wire.Contact, valueMode, qos bool) (r
 		return raceOutcome{hops: hops}, fmt.Errorf("node: find-value %d: %w", target, ErrNotFound)
 	}
 	return raceOutcome{hops: hops}, fmt.Errorf("node: lookup %d: no progress at %v", target, lastPeer)
+}
+
+// hedgeDelay is how long the race waits on a probe to addr before it
+// launches another: the contact's RTO, capped at limit; limit when the
+// contact has no estimate or no rto hook is set.
+func (l *lookup) hedgeDelay(addr string, limit time.Duration) time.Duration {
+	if l.rto != nil {
+		if d, ok := l.rto(addr); ok && d < limit {
+			return d
+		}
+	}
+	return limit
 }
 
 // noteContact passes c to the note hook, if any.

@@ -372,6 +372,11 @@ type Node struct {
 	// geometries; the heal probe samples it.
 	addrMu sync.RWMutex
 	addrs  map[id.ID]string
+	// byAddr indexes addrs by address (address → the id last cached at
+	// it), so the lookup race can find the estimate behind an aliased
+	// aux contact. It changes only in setAddrLocked and forgetAddr:
+	// every entry has a backing addrs entry.
+	byAddr map[string]id.ID
 	// rtt holds the smoothed per-contact RTT estimates (rtt.go), under
 	// addrMu so estimate eviction is atomic with address eviction:
 	// every estimate has a backing addrs entry.
@@ -461,6 +466,7 @@ func Start(cfg Config) (*Node, error) {
 		cfg:    cfg,
 		self:   wire.Contact{ID: cfg.ID, Addr: adv},
 		addrs:  make(map[id.ID]string),
+		byAddr: make(map[string]id.ID),
 		rtt:    make(map[id.ID]rttEstimate),
 		window: freq.NewShared(auxWindowBuckets),
 	}
@@ -485,7 +491,7 @@ func Start(cfg Config) (*Node, error) {
 		return nil, err
 	}
 	n.lk = newLookup(n.tr, n.rt, cfg)
-	n.lk.note, n.lk.rtt = n.noteContact, n.ContactRTT
+	n.lk.note, n.lk.rtt, n.lk.rto = n.noteContact, n.srttAt, n.rtoAt
 	n.tr.start()
 
 	n.every(cfg.StabilizeEvery, n.stabilize)
@@ -713,8 +719,23 @@ func (n *Node) noteContact(c wire.Contact) {
 		return
 	}
 	n.addrMu.Lock()
-	n.addrs[c.ID] = c.Addr
+	n.setAddrLocked(c.ID, c.Addr)
 	n.addrMu.Unlock()
+}
+
+// setAddrLocked caches addr as x's address and indexes it, dropping the
+// index entry of x's previous address. The caller holds addrMu.
+func (n *Node) setAddrLocked(x id.ID, addr string) {
+	if old, ok := n.addrs[x]; ok {
+		if old == addr && n.byAddr[addr] == x {
+			return // every RTT sample lands here: read, don't write
+		}
+		if old != addr && n.byAddr[old] == x {
+			delete(n.byAddr, old)
+		}
+	}
+	n.addrs[x] = addr
+	n.byAddr[addr] = x
 }
 
 // addrOf returns the cached address for x.
@@ -733,6 +754,9 @@ func (n *Node) forgetAddr(x id.ID, failed string) {
 	if n.addrs[x] == failed {
 		delete(n.addrs, x)
 		delete(n.rtt, x) // estimate eviction is atomic with the address
+		if n.byAddr[failed] == x {
+			delete(n.byAddr, failed)
+		}
 	}
 	n.addrMu.Unlock()
 }

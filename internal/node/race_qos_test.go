@@ -13,6 +13,7 @@ package node
 //     matter how cheap its link, so the walk keeps halving the gap.
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -32,12 +33,26 @@ func probeFrontier(entries ...frontierEntry) []frontierEntry {
 }
 
 func fe(node uint64, dist uint64) frontierEntry {
-	return frontierEntry{c: wire.Contact{ID: id.ID(node), Addr: "mem/x"}, dist: dist, depth: 1}
+	return frontierEntry{c: wire.Contact{ID: id.ID(node), Addr: memAddr(id.ID(node))}, dist: dist, depth: 1}
 }
 
-func rttTable(t map[id.ID]time.Duration) func(id.ID) (time.Duration, bool) {
-	return func(x id.ID) (time.Duration, bool) {
-		d, ok := t[x]
+// aliasFE is an aux candidate aliased to a key position: its id is the
+// key's ring position, its address the owner's.
+func aliasFE(keyPos, owner uint64, dist uint64) frontierEntry {
+	return frontierEntry{c: wire.Contact{ID: id.ID(keyPos), Addr: memAddr(id.ID(owner))}, dist: dist, depth: 1}
+}
+
+func memAddr(x id.ID) string { return fmt.Sprintf("mem/%d", x) }
+
+// rttTable serves per-node RTTs the way the node's hook does: by the
+// address a probe goes to.
+func rttTable(t map[id.ID]time.Duration) func(string) (time.Duration, bool) {
+	byAddr := make(map[string]time.Duration, len(t))
+	for x, d := range t {
+		byAddr[memAddr(x)] = d
+	}
+	return func(addr string) (time.Duration, bool) {
+		d, ok := byAddr[addr]
 		return d, ok
 	}
 }
@@ -101,6 +116,14 @@ func TestQoSProbeOrdering(t *testing.T) {
 			want:     1,
 		},
 		{
+			name: "aliased aux candidate is measured as its owner",
+			// Entry 2 is {key position 900, owner 7's address}: only
+			// the owner has an estimate, and its link is the cheapest.
+			frontier: probeFrontier(fe(1, 100), aliasFE(900, 7, 120)),
+			rtt:      map[id.ID]time.Duration{1: ms(40), 7: ms(2)},
+			want:     1,
+		},
+		{
 			name:     "tie on RTT keeps the earlier (nearer) candidate",
 			frontier: probeFrontier(fe(1, 100), fe(2, 120)),
 			rtt:      map[id.ID]time.Duration{1: ms(10), 2: ms(10)},
@@ -114,5 +137,22 @@ func TestQoSProbeOrdering(t *testing.T) {
 				t.Fatalf("qosProbeIndex = %d, want %d", got, tc.want)
 			}
 		})
+	}
+}
+
+// End to end through the node's own hook: an aux candidate aliased to a
+// key position ({keyPos, ownerAddr}) has no estimate under its id, but
+// the probe goes to the owner's address, and the owner's cheap link
+// promotes it over the geometry's pick.
+func TestQoSProbePromotesAliasedAux(t *testing.T) {
+	n := newRTTNode(t)
+	n.observeRTT(wire.Contact{ID: 1, Addr: memAddr(1)}, 40*time.Millisecond)
+	n.observeRTT(wire.Contact{ID: 7, Addr: memAddr(7)}, 2*time.Millisecond)
+	frontier := probeFrontier(fe(1, 100), aliasFE(900, 7, 120))
+	if _, ok := n.ContactRTT(900); ok {
+		t.Fatal("the key position acquired an estimate of its own")
+	}
+	if got := qosProbeIndex(frontier, n.srttAt); got != 1 {
+		t.Fatalf("qosProbeIndex = %d, want 1: the aliased candidate rides its owner's 2ms link", got)
 	}
 }

@@ -64,6 +64,84 @@ func TestRTTEWMAConvergence(t *testing.T) {
 	}
 }
 
+// The estimator is RFC 6298's, step for step: the first sample R sets
+// srtt = R and rttvar = R/2; each later sample updates rttvar =
+// 3/4·rttvar + 1/4·|srtt − R| against the old srtt, then srtt =
+// 7/8·srtt + 1/8·R; the RTO is srtt + 4·rttvar, at least rtoMin. The
+// expected values are worked by hand, in microseconds.
+func TestRTTEstimatorFollowsRFC6298(t *testing.T) {
+	n := newRTTNode(t)
+	peer := wire.Contact{ID: 5, Addr: "mem/5"}
+	us := func(f float64) time.Duration { return time.Duration(f * float64(time.Microsecond)) }
+	steps := []struct {
+		sample            time.Duration
+		srtt, rttvar, rto float64 // µs
+	}{
+		{us(8000), 8000, 4000, 24000},
+		{us(16000), 9000, 5000, 29000},             // |8000−16000| = 8000
+		{us(9000), 9000, 3750, 24000},              // |9000−9000| = 0
+		{us(1000), 8000, 4812.5, 27250},            // |9000−1000| = 8000
+		{us(8000), 8000, 3609.375, 22437.5},        // |8000−8000| = 0
+		{us(40000), 12000, 10707.03125, 54828.125}, // |8000−40000| = 32000
+	}
+	for i, st := range steps {
+		n.observeRTT(peer, st.sample)
+		e, ok := n.rttAt(peer.Addr)
+		if !ok {
+			t.Fatalf("step %d: no estimate at %s", i, peer.Addr)
+		}
+		for _, c := range []struct {
+			name      string
+			got, want time.Duration
+		}{
+			{"srtt", time.Duration(e.srtt), us(st.srtt)},
+			{"rttvar", time.Duration(e.rttvar), us(st.rttvar)},
+			{"rto", e.rto(), us(st.rto)},
+		} {
+			if d := c.got - c.want; d < -time.Nanosecond || d > time.Nanosecond {
+				t.Fatalf("step %d (sample %v): %s %v, want %v", i, st.sample, c.name, c.got, c.want)
+			}
+		}
+		if rto, _ := n.rtoAt(peer.Addr); rto != e.rto() {
+			t.Fatalf("step %d: rtoAt %v, estimate's rto %v", i, rto, e.rto())
+		}
+	}
+	info := n.ContactRTTs()
+	if len(info) != 1 || info[0].RTTVar != time.Duration(n.rtt[5].rttvar) || info[0].Samples != uint64(len(steps)) {
+		t.Fatalf("snapshot %+v does not carry the estimate", info)
+	}
+	// On a 50 µs link srtt + 4·rttvar is 150 µs, and rtoMin is what
+	// keeps the hedge from racing the scheduler.
+	fast := wire.Contact{ID: 6, Addr: "mem/6"}
+	n.observeRTT(fast, 50*time.Microsecond)
+	if rto, _ := n.rtoAt(fast.Addr); rto != rtoMin {
+		t.Fatalf("50µs link: rto %v, want rtoMin %v", rto, rtoMin)
+	}
+}
+
+// The estimate behind a position-aliased contact is found by address:
+// the id the probe carries is a key position, but the address is the
+// owner's, and the index maps it back to the owner's estimate.
+func TestRTTResolvedByAddress(t *testing.T) {
+	n := newRTTNode(t)
+	n.observeRTT(wire.Contact{ID: 7, Addr: "mem/7"}, 3*time.Millisecond)
+	if d, ok := n.srttAt("mem/7"); !ok || d != 3*time.Millisecond {
+		t.Fatalf("srtt at the owner's address: %v, %t; want 3ms", d, ok)
+	}
+	if _, ok := n.srttAt("mem/8"); ok {
+		t.Fatal("an unknown address resolved to an estimate")
+	}
+	// A contact re-addressed moves its index entry: the old address no
+	// longer resolves, the new one does.
+	n.noteContact(wire.Contact{ID: 7, Addr: "mem/7b"})
+	if _, ok := n.srttAt("mem/7"); ok {
+		t.Fatal("the old address still resolves after the contact moved")
+	}
+	if d, ok := n.srttAt("mem/7b"); !ok || d != 3*time.Millisecond {
+		t.Fatalf("srtt at the new address: %v, %t; want 3ms", d, ok)
+	}
+}
+
 // One outlier among steady samples must nudge, not replace, the
 // estimate — the point of smoothing.
 func TestRTTEWMASmoothsOutliers(t *testing.T) {
@@ -111,13 +189,24 @@ func TestRTTDecaysWithContactEviction(t *testing.T) {
 		t.Fatal("stale-address failure evicted a live estimate")
 	}
 
-	// A current failure must evict estimate and address together.
+	// A current failure must evict estimate (srtt and rttvar alike),
+	// address and address index entry together.
 	n.forgetAddr(11, "mem/11-new")
 	if _, ok := n.ContactRTT(11); ok {
 		t.Fatal("estimate survived contact eviction")
 	}
+	if _, ok := n.rtoAt("mem/11-new"); ok {
+		t.Fatal("the evicted contact's RTO still resolves by address")
+	}
 	if _, ok := n.addrOf(11); ok {
 		t.Fatal("address survived forgetAddr")
+	}
+	n.addrMu.RLock()
+	_, indexed := n.byAddr["mem/11-new"]
+	_, estimated := n.rtt[11]
+	n.addrMu.RUnlock()
+	if indexed || estimated {
+		t.Fatalf("forgetAddr left the index entry (%t) or the estimate (%t) behind", indexed, estimated)
 	}
 	if m := n.Metrics(); m.RTTContacts != 0 {
 		t.Fatalf("RTTContacts = %d after eviction, want 0", m.RTTContacts)
