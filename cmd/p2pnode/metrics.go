@@ -86,15 +86,18 @@ type rttStats struct {
 }
 
 // contactRTTJSON is one contact's smoothed RTT and RTT variation (the
-// lookup race hedges after srtt + 4·rttvar, at least 5 ms), in
-// milliseconds for scrape ergonomics (dashboards want a float, not
-// nanoseconds).
+// lookup race hedges after srtt + 4·rttvar, at least 5 ms) and how long
+// ago it was last heard from (a liveness check within one stabilize
+// period of that needs no ping; -1 when never heard, or suspected
+// since), in milliseconds for scrape ergonomics (dashboards want a
+// float, not nanoseconds).
 type contactRTTJSON struct {
-	ID       uint64  `json:"id"`
-	Addr     string  `json:"addr"`
-	SRTTMs   float64 `json:"srtt_ms"`
-	RTTVarMs float64 `json:"rttvar_ms"`
-	Samples  uint64  `json:"samples"`
+	ID         uint64  `json:"id"`
+	Addr       string  `json:"addr"`
+	SRTTMs     float64 `json:"srtt_ms"`
+	RTTVarMs   float64 `json:"rttvar_ms"`
+	Samples    uint64  `json:"samples"`
+	HeardMsAgo float64 `json:"heard_ms_ago"`
 }
 
 // storeStats mirrors the data-plane subset of node.Metrics under
@@ -144,6 +147,10 @@ func payloadFor(n *node.Node) metricsPayload {
 			SRTTMs:   float64(r.SRTT) / float64(time.Millisecond),
 			RTTVarMs: float64(r.RTTVar) / float64(time.Millisecond),
 			Samples:  r.Samples,
+		}
+		rttJSON[i].HeardMsAgo = -1
+		if r.Heard >= 0 {
+			rttJSON[i].HeardMsAgo = float64(r.Heard) / float64(time.Millisecond)
 		}
 	}
 	p := metricsPayload{

@@ -334,6 +334,10 @@ func TestMetricsReportRTTAcrossProtocols(t *testing.T) {
 					if c.SRTTMs <= 0 || c.RTTVarMs <= 0 || c.Samples == 0 || c.Addr != b.Addr() {
 						t.Fatalf("estimate for %d implausible: %+v", b.ID(), c)
 					}
+					// b's join walk sent a requests, so a has heard it.
+					if c.HeardMsAgo < 0 {
+						t.Fatalf("joined peer %d never heard: %+v", b.ID(), c)
+					}
 				}
 			}
 			if !found {

@@ -125,8 +125,8 @@ func printVerdict(w io.Writer, v *soak.Verdict) {
 	}
 	fmt.Fprintf(w, "p2psoak %s: proto=%s seed=%d events=%d/%d windows=%d wall=%dms\n",
 		status, v.Proto, v.Seed, v.EventsRun, v.EventsPlanned, v.Windows, v.WallMS)
-	fmt.Fprintf(w, "  workload: %d puts, %d gets, %d large puts, %d large gets, %d lookups, %d op failures, mean %.2f hops, mean %.0fus/op\n",
-		v.Puts, v.Gets, v.PutLarges, v.GetLarges, v.Lookups, v.OpFailures, v.MeanLookupHops, v.MeanOpMicros)
+	fmt.Fprintf(w, "  workload: %d puts, %d gets, %d large puts, %d large gets, %d lookups (%d wrong owner), %d op failures, mean %.2f hops, mean %.0fus/op\n",
+		v.Puts, v.Gets, v.PutLarges, v.GetLarges, v.Lookups, v.WrongOwner, v.OpFailures, v.MeanLookupHops, v.MeanOpMicros)
 	fmt.Fprintf(w, "  churn: %d joins, %d leaves, %d crashes, %d partitions, %d heals, %d ramps, %d skipped (%d nodes final)\n",
 		v.Joins, v.Leaves, v.Crashes, v.Partitions, v.Heals, v.Ramps, v.Skipped, v.FinalNodes)
 	fmt.Fprintf(w, "  ledger: %d forfeits, %d stranded\n", v.Forfeits, v.Stranded)

@@ -44,6 +44,20 @@ func CoverableRows(space id.Space, ring []id.ID, x id.ID) map[uint]bool {
 	return out
 }
 
+// OwnerPastry returns the member responsible for key under Pastry's
+// rule: the one numerically closest on the circle, an equidistant pair
+// resolved toward the predecessor side, as pastryring resolves it.
+func OwnerPastry(space id.Space, members []id.ID, key id.ID) id.ID {
+	best := members[0]
+	for _, x := range members[1:] {
+		dx, db := min(space.Gap(x, key), space.Gap(key, x)), min(space.Gap(best, key), space.Gap(key, best))
+		if dx < db || (dx == db && space.Gap(x, key) < space.Gap(best, key)) {
+			best = x
+		}
+	}
+	return best
+}
+
 // CheckPastryConverged is the Pastry convergence oracle as a pure,
 // single-shot check over an arbitrary node list: every node's leaf-set
 // sides must equal the ideal ring's and its populated prefix-table row

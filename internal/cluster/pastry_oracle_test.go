@@ -92,3 +92,27 @@ func TestPastryOracleRowsMatchCoverable(t *testing.T) {
 		}
 	}
 }
+
+// OwnerPastry agrees with the Pastry simulator's owner on random
+// memberships and keys, and breaks an equidistant pair toward the
+// predecessor side, as pastryring does.
+func TestOwnerPastryMatchesSimulator(t *testing.T) {
+	space := id.NewSpace(16)
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ids, ring := randomMembership(rng, 1+rng.Intn(60))
+		nw := oracleNet(t, space, ids, 2)
+		for q := 0; q < 200; q++ {
+			key := id.ID(rng.Intn(1 << 16))
+			if want, _ := nw.Owner(key); OwnerPastry(space, ring, key) != want {
+				t.Fatalf("seed %d key %d: OwnerPastry %d, simulator %d", seed, key, OwnerPastry(space, ring, key), want)
+			}
+		}
+	}
+	ring := []id.ID{10, 20, 65000}
+	for _, c := range []struct{ key, want id.ID }{{15, 10}, {65273, 65000}, {65530, 10}} {
+		if got := OwnerPastry(space, ring, c.key); got != c.want {
+			t.Errorf("OwnerPastry(%d) = %d, want %d", c.key, got, c.want)
+		}
+	}
+}

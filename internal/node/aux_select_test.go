@@ -208,13 +208,12 @@ func selectionNode(t *testing.T, factory ring.Factory, space id.Space, self wire
 	}
 	fc := &fixedCore{Routing: rt}
 	n := &Node{
-		cfg:    Config{Space: space, ID: self.ID, AuxCount: k, AuxQoSDelayBound: 100 * time.Millisecond},
-		self:   self,
-		rt:     fc,
-		addrs:  make(map[id.ID]string),
-		byAddr: make(map[string]id.ID),
-		rtt:    make(map[id.ID]rttEstimate),
-		window: freq.NewShared(auxWindowBuckets),
+		cfg:      Config{Space: space, ID: self.ID, AuxCount: k, AuxQoSDelayBound: 100 * time.Millisecond},
+		self:     self,
+		rt:       fc,
+		contacts: make(map[id.ID]*contact),
+		byAddr:   make(map[string]id.ID),
+		window:   freq.NewShared(auxWindowBuckets),
 	}
 	return n, fc
 }
@@ -235,9 +234,8 @@ func (h quickHost) Send(addr string, m *wire.Message) {}
 func (h quickHost) Resolve(target id.ID) (wire.Contact, int, error) {
 	return wire.Contact{}, 0, fmt.Errorf("quickhost: no resolve")
 }
-func (h quickHost) Note(c wire.Contact)                 {}
-func (h quickHost) AddrOf(x id.ID) (string, bool)       { return "", false }
-func (h quickHost) RTTOf(x id.ID) (time.Duration, bool) { return 0, false }
+func (h quickHost) Note(c wire.Contact)    {}
+func (h quickHost) Alive(addr string) bool { return false }
 
 // TestAuxSelectionMatchesOldPolicies drives the single path and the
 // old policy of each geometry through the same seeded sequences of
@@ -295,7 +293,7 @@ func runSelectionSequence(t *testing.T, geom string, factory ring.Factory, space
 		for _, x := range pool[1:] {
 			if rng.Intn(3) > 0 && x != self.ID {
 				rtt := time.Duration(1+rng.Intn(200)) * time.Millisecond
-				n.observeRTT(wire.Contact{ID: x, Addr: fmt.Sprintf("mem/%d", x)}, rtt)
+				n.observeRTT(wire.Contact{ID: x, Addr: fmt.Sprintf("mem/%d", x)}, rtt, true)
 			}
 		}
 	}

@@ -33,10 +33,6 @@ type Ring struct {
 	maxSucc int
 	pred    wire.Contact
 	hasPred bool
-	// predHeard is set when the current predecessor notified this node
-	// since the last stabilize round: that request is its liveness
-	// proof, so the round skips the predecessor ping.
-	predHeard bool
 
 	fingers   []wire.Contact // fingers[i] covers (self+2^i, self+2^{i+1}]
 	hasFinger []bool
@@ -314,10 +310,11 @@ func (r *Ring) HandleRequest(m *wire.Message, resp *wire.Message) bool {
 }
 
 // Stabilize runs one maintenance round: refresh the successor (adopting
-// its predecessor when that node sits between), notify it, rebuild the
-// successor list from its list, and check the predecessor's liveness —
-// with a ping only when the predecessor has not notified this node
-// since the previous round.
+// its predecessor when that node sits between and is alive), notify it,
+// rebuild the successor list from its list, and check the predecessor's
+// liveness. Both checks go through Host.Alive, so a predecessor that
+// notified this node within the round costs no ping: the notify is a
+// request, and the runtime marked it heard.
 func (r *Ring) Stabilize() {
 	s := r.successor()
 	if s.ID == r.self.ID {
@@ -335,9 +332,9 @@ func (r *Ring) Stabilize() {
 	cand := s
 	if resp.HasPred && resp.Pred.ID != r.self.ID && resp.Pred.Addr != "" &&
 		r.space.Between(resp.Pred.ID, r.self.ID, s.ID) {
-		// A closer successor exists — verify it answers before
+		// A closer successor exists — verify it lives before
 		// adopting it.
-		if _, err := r.h.Call(resp.Pred.Addr, &wire.Message{Type: wire.TPing}); err == nil {
+		if r.h.Alive(resp.Pred.Addr) {
 			r.adoptSuccessor(resp.Pred)
 			cand = resp.Pred
 		}
@@ -355,15 +352,12 @@ func (r *Ring) Stabilize() {
 	list = append(list, resp.Succs...)
 	r.setSuccs(list)
 
-	// Predecessor liveness.
-	r.mu.Lock()
-	p, ok, heard := r.pred, r.hasPred, r.predHeard
-	r.predHeard = false
-	r.mu.Unlock()
-	if ok && !heard && p.ID != r.self.ID && p.Addr != "" {
-		if _, err := r.h.Call(p.Addr, &wire.Message{Type: wire.TPing}); err != nil {
-			r.clearPred()
+	if p, ok := r.Predecessor(); ok && p.ID != r.self.ID && p.Addr != "" && !r.h.Alive(p.Addr) {
+		r.mu.Lock()
+		if r.pred.ID == p.ID { // a notify may have replaced it meanwhile
+			r.pred, r.hasPred = wire.Contact{}, false
 		}
+		r.mu.Unlock()
 	}
 }
 
@@ -561,17 +555,8 @@ func (r *Ring) dropSuccessor(dead id.ID) {
 	r.succs = out
 }
 
-func (r *Ring) clearPred() {
-	r.mu.Lock()
-	r.hasPred = false
-	r.pred = wire.Contact{}
-	r.predHeard = false
-	r.mu.Unlock()
-}
-
 // notify processes a notify(c): adopt c as predecessor if there is none
-// or c sits between the current predecessor and self. A notify from the
-// predecessor, adopted or standing, marks it heard for this round.
+// or c sits between the current predecessor and self.
 func (r *Ring) notify(c wire.Contact) {
 	if c.ID == r.self.ID || c.Addr == "" {
 		return
@@ -580,9 +565,6 @@ func (r *Ring) notify(c wire.Contact) {
 	if !r.hasPred || r.space.Between(c.ID, r.pred.ID, r.self.ID) {
 		r.pred = c
 		r.hasPred = true
-	}
-	if r.pred.ID == c.ID {
-		r.predHeard = true
 	}
 	r.mu.Unlock()
 	r.h.Note(c)

@@ -3,7 +3,6 @@ package chordring
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"peercache/internal/id"
 	"peercache/internal/node/ring"
@@ -13,13 +12,16 @@ import (
 // stubHost satisfies ring.Host with a canned resolver so RepairTable
 // can be driven without a network: Resolve answers every target with
 // the first ring member clockwise of it. Call goes to the call hook, and
-// fails when there is none.
+// fails when there is none. Alive stands in for the runtime's liveness
+// record: an address in heard answers without I/O, any other costs one
+// TPing through Call.
 type stubHost struct {
 	space    id.Space
 	self     wire.Contact
 	members  []id.ID // sorted ascending
 	resolves int
 	call     func(addr string, req *wire.Message) (*wire.Message, error)
+	heard    map[string]bool
 }
 
 func (h *stubHost) Self() wire.Contact { return h.self }
@@ -30,10 +32,15 @@ func (h *stubHost) Call(addr string, req *wire.Message) (*wire.Message, error) {
 	}
 	return h.call(addr, req)
 }
-func (h *stubHost) Send(addr string, m *wire.Message)   {}
-func (h *stubHost) Note(c wire.Contact)                 {}
-func (h *stubHost) AddrOf(x id.ID) (string, bool)       { return "", false }
-func (h *stubHost) RTTOf(x id.ID) (time.Duration, bool) { return 0, false }
+func (h *stubHost) Send(addr string, m *wire.Message) {}
+func (h *stubHost) Note(c wire.Contact)               {}
+func (h *stubHost) Alive(addr string) bool {
+	if h.heard[addr] {
+		return true
+	}
+	_, err := h.Call(addr, &wire.Message{Type: wire.TPing})
+	return err == nil
+}
 func (h *stubHost) Resolve(target id.ID) (wire.Contact, int, error) {
 	h.resolves++
 	for _, m := range h.members {
@@ -44,7 +51,7 @@ func (h *stubHost) Resolve(target id.ID) (wire.Contact, int, error) {
 	return wire.Contact{ID: h.members[0], Addr: fmt.Sprintf("mem/%d", h.members[0])}, 1, nil
 }
 
-func newTestRing(t *testing.T, h *stubHost, batch int) *Ring {
+func newTestRing(t testing.TB, h *stubHost, batch int) *Ring {
 	t.Helper()
 	rt, err := New(h, ring.Options{
 		NeighborListLen: 4,

@@ -141,8 +141,8 @@ func (c *Client) FindValue(key id.ID) (GetResult, error) {
 
 // anonRouter is the Client's router. It holds no routing table: every
 // step is a TFindSucc, which each geometry answers through its NextHop;
-// candidates rank by circular distance to the target; a failed peer has
-// no table entry to retire; and no contact is an aux neighbor.
+// candidates rank by circular distance to the target; and no contact is
+// an aux neighbor.
 type anonRouter struct{ space id.Space }
 
 func (r anonRouter) Distance(target, candidate id.ID) uint64 {
@@ -160,5 +160,4 @@ func (anonRouter) ParseLookupResponse(_ id.ID, resp *wire.Message) (wire.Contact
 	return wire.Contact{}, false, []wire.Contact{resp.Next}
 }
 
-func (anonRouter) DropPeer(id.ID)    {}
 func (anonRouter) HasAux(id.ID) bool { return false }

@@ -69,7 +69,7 @@ func hedgeWait(a *Node, addr string) time.Duration {
 // its address and routing entries alone.
 func forgetRTT(a *Node, addr string) {
 	a.addrMu.Lock()
-	delete(a.rtt, a.byAddr[addr])
+	a.contactAtLocked(addr).rtt = rttEstimate{}
 	a.addrMu.Unlock()
 }
 

@@ -7,10 +7,11 @@
 // bucket. Kademlia's cardinal rule — never evict a live contact for a
 // new one — is honored by deferring eviction to the maintenance
 // tickers: learning a contact for a full bucket only queues it as a
-// replacement candidate, and the next Stabilize round pings the bucket's
-// least-recently-seen entry, promoting the newest candidate only if the
-// ping fails (HandleRequest runs on the read loop and must not block on
-// I/O, so it can never ping-before-evict inline).
+// replacement candidate, and the next Stabilize round checks the
+// bucket's least-recently-seen entry, promoting the newest candidate
+// only if the check fails (HandleRequest runs on the read loop and must
+// not block on I/O, so it can never ping-before-evict inline). The check
+// is Host.Alive, which pings only a contact not heard from recently.
 //
 // Lookups ride the runtime's α-parallel iterative driver with the
 // Kademlia wire pair: LookupRequest is TFindNode, and a TFindNodeResp
@@ -25,7 +26,7 @@
 // Buckets admit only contacts heard from directly — a request's or
 // response's sender. Contacts relayed in a closest list are hearsay:
 // they queue in a bounded adoption list and enter a bucket only after a
-// Stabilize round pings them alive, the same rule pastryring applies to
+// Stabilize round checks them alive, the same rule pastryring applies to
 // gossiped candidates — otherwise dead nodes circulate forever between
 // peers that evict and re-learn them from each other's answers.
 //
@@ -62,16 +63,16 @@ const DefaultBucketSize = 20
 const replacementCap = 4
 
 // evictChecksPerRound bounds how many buckets one Stabilize round
-// ping-checks for eviction, so a burst of replacement candidates cannot
+// checks for eviction, so a burst of replacement candidates cannot
 // stretch a round by more than this many RPC timeouts.
 const evictChecksPerRound = 4
 
 // pendingCap bounds the adoption queue of hearsay contacts awaiting a
-// liveness ping; a full queue drops its oldest candidate.
+// liveness check; a full queue drops its oldest candidate.
 const pendingCap = 32
 
 // adoptsPerRound bounds how many queued candidates one Stabilize round
-// pings for adoption.
+// checks for adoption.
 const adoptsPerRound = 4
 
 // Ring is the Kademlia routing state plus the maintenance protocol over
@@ -93,7 +94,7 @@ type Ring struct {
 	// repl[i] is bucket i's replacement cache, oldest candidate first.
 	repl [][]wire.Contact
 	// pending holds hearsay contacts (closest-list entries) awaiting a
-	// liveness ping before bucket admission, oldest first.
+	// liveness check before bucket admission, oldest first.
 	pending []wire.Contact
 
 	ring.AuxSet // auxiliary neighbors, the paper's A_s; read without mu
@@ -239,7 +240,7 @@ func (r *Ring) duplicateOf(resp *wire.Message) (wire.Contact, bool) {
 }
 
 // enqueue queues a hearsay contact for adoption: it enters a bucket
-// only after a Stabilize round pings it alive. The address still goes
+// only after a Stabilize round checks it alive. The address still goes
 // to the runtime's contact cache immediately — an address hint costs
 // nothing and aux aliasing resolves against that cache.
 func (r *Ring) enqueue(c wire.Contact) {
@@ -468,9 +469,9 @@ func (r *Ring) closestLocked(target id.ID, requester id.ID) []wire.Contact {
 	return all
 }
 
-// Stabilize runs one maintenance round: bounded ping-before-evict
-// checks on buckets with queued replacement candidates, a bounded drain
-// of the hearsay adoption queue (ping, then learn on answer), then a
+// Stabilize runs one maintenance round: bounded check-before-evict
+// passes over buckets with queued replacement candidates, a bounded
+// drain of the hearsay adoption queue (learn what is alive), then a
 // neighborhood refresh — a FIND_NODE for self at the nearest known
 // contact, keeping the ownership frontier sharp (the data plane's
 // authority predicate depends on knowing every close neighbor).
@@ -480,28 +481,22 @@ func (r *Ring) Stabilize() {
 		if !ok {
 			break
 		}
-		if _, err := r.h.Call(lru.Addr, &wire.Message{Type: wire.TPing}); err != nil {
-			// Dead: vacate the slot; the promotion below fills it with
-			// the newest replacement candidate.
-			r.DropPeer(lru.ID)
-		} else {
-			// Alive: Kademlia keeps the proven entry and discards the
-			// oldest challenger, moving the survivor to most-recent.
+		if r.checkLRU(idx, lru) {
+			// Kademlia keeps the proven entry and discards the oldest
+			// challenger.
 			r.mu.Lock()
-			r.touchLocked(lru)
 			if len(r.repl[idx]) > 0 {
 				r.repl[idx] = append(r.repl[idx][:0], r.repl[idx][1:]...)
 			}
 			r.mu.Unlock()
 		}
-		r.promote(idx)
 	}
 	for i := 0; i < adoptsPerRound; i++ {
 		c, ok := r.nextPending()
 		if !ok {
 			break
 		}
-		if _, err := r.h.Call(c.Addr, &wire.Message{Type: wire.TPing}); err == nil {
+		if r.h.Alive(c.Addr) {
 			r.learn(c)
 		}
 	}
@@ -550,27 +545,34 @@ func (r *Ring) nextEvictCheck() (uint, wire.Contact, bool) {
 			return i, r.buckets[i][0], true
 		}
 		// The bucket gained room since the candidate queued (a DropPeer
-		// or a shrink); promote without a ping.
-		for len(r.buckets[i]) < r.bucketSize && len(r.repl[i]) > 0 {
-			last := len(r.repl[i]) - 1
-			r.buckets[i] = append(r.buckets[i], r.repl[i][last])
-			r.repl[i] = r.repl[i][:last]
-		}
+		// or a shrink); promote without a check.
+		r.promoteLocked(i)
 	}
 	return 0, wire.Contact{}, false
 }
 
-// promote moves replacement candidates into bucket idx while it has
-// room, newest candidate first.
-func (r *Ring) promote(idx uint) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for len(r.buckets[idx]) < r.bucketSize && len(r.repl[idx]) > 0 {
-		last := len(r.repl[idx]) - 1
-		c := r.repl[idx][last]
-		r.repl[idx] = r.repl[idx][:last]
-		r.buckets[idx] = append(r.buckets[idx], c)
+// promoteLocked moves replacement candidates into bucket i while it has
+// room, newest candidate first. The caller holds mu.
+func (r *Ring) promoteLocked(i uint) {
+	for len(r.buckets[i]) < r.bucketSize && len(r.repl[i]) > 0 {
+		last := len(r.repl[i]) - 1
+		r.buckets[i] = append(r.buckets[i], r.repl[i][last])
+		r.repl[i] = r.repl[i][:last]
 	}
+}
+
+// checkLRU is ping-before-evict for bucket i's least-recently-seen
+// entry: a dead one leaves (DropPeer refills the slot), a live one
+// moves to most-recently-seen. It reports whether lru was alive.
+func (r *Ring) checkLRU(i uint, lru wire.Contact) bool {
+	if !r.h.Alive(lru.Addr) {
+		r.DropPeer(lru.ID)
+		return false
+	}
+	r.mu.Lock()
+	r.touchLocked(lru)
+	r.mu.Unlock()
+	return true
 }
 
 // nearestContact returns the XOR-nearest known contact.
@@ -588,7 +590,7 @@ func (r *Ring) nearestContact() (wire.Contact, bool) {
 }
 
 // RepairTable maintains one bucket per call, round-robin: a populated
-// bucket has its least-recently-seen entry pinged (a dead one vacates
+// bucket has its least-recently-seen entry checked (a dead one vacates
 // and the replacement cache refills), and an under-full one — empty or
 // merely short of bucketSize — is refreshed by walking a FIND_NODE for
 // a random id in its subtree, self with bit i flipped and the lower
@@ -610,14 +612,7 @@ func (r *Ring) RepairTable() {
 	target := r.refreshTargetLocked(i)
 	r.mu.Unlock()
 	if hasLRU {
-		if _, err := r.h.Call(lru.Addr, &wire.Message{Type: wire.TPing}); err != nil {
-			r.DropPeer(lru.ID)
-		} else {
-			r.mu.Lock()
-			r.touchLocked(lru)
-			r.mu.Unlock()
-		}
-		r.promote(i)
+		r.checkLRU(i, lru)
 	}
 	if underfull {
 		r.refreshWalk(target)
@@ -737,11 +732,7 @@ func (r *Ring) DropPeer(x id.ID) {
 	r.buckets[i] = drop(r.buckets[i])
 	r.repl[i] = drop(r.repl[i])
 	r.pending = drop(r.pending)
-	for len(r.buckets[i]) < r.bucketSize && len(r.repl[i]) > 0 {
-		last := len(r.repl[i]) - 1
-		r.buckets[i] = append(r.buckets[i], r.repl[i][last])
-		r.repl[i] = r.repl[i][:last]
-	}
+	r.promoteLocked(i)
 }
 
 // Successors returns the XOR-nearest neighbors, nearest first — the

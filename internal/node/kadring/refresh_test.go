@@ -3,7 +3,6 @@ package kadring
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"peercache/internal/id"
 	"peercache/internal/node/ring"
@@ -18,17 +17,24 @@ import (
 // answers, not from pings). Resolve fails the test outright: bucket
 // refresh must not ride the runtime's lookup driver, whose
 // done-at-self short-circuit is exactly what an empty bucket triggers.
+// Alive stands in for the runtime's liveness record: an address in
+// heard answers without I/O, any other costs one TPing Call, counted
+// in pings.
 type fakeHost struct {
-	t     *testing.T
+	t     testing.TB
 	self  wire.Contact
 	space id.Space
 	net   map[string]*Ring
+	heard map[string]bool
+	pings map[string]int
+	calls int
 }
 
 func (h *fakeHost) Self() wire.Contact { return h.self }
 func (h *fakeHost) Space() id.Space    { return h.space }
 
 func (h *fakeHost) Call(addr string, req *wire.Message) (*wire.Message, error) {
+	h.calls++
 	peer, ok := h.net[addr]
 	if !ok {
 		return nil, fmt.Errorf("fakehost: no listener at %s", addr)
@@ -52,15 +58,23 @@ func (h *fakeHost) Resolve(target id.ID) (wire.Contact, int, error) {
 	return wire.Contact{}, 0, fmt.Errorf("fakehost: resolve unavailable")
 }
 
-func (h *fakeHost) Note(c wire.Contact)                 {}
-func (h *fakeHost) AddrOf(x id.ID) (string, bool)       { return "", false }
-func (h *fakeHost) RTTOf(x id.ID) (time.Duration, bool) { return 0, false }
+func (h *fakeHost) Note(c wire.Contact) {}
+
+func (h *fakeHost) Alive(addr string) bool {
+	if h.heard[addr] {
+		return true
+	}
+	h.pings[addr]++
+	_, err := h.Call(addr, &wire.Message{Type: wire.TPing})
+	return err == nil
+}
 
 // newTestRing builds one Ring on the shared in-memory net.
-func newTestRing(t *testing.T, space id.Space, net map[string]*Ring, x id.ID) *Ring {
+func newTestRing(t testing.TB, space id.Space, net map[string]*Ring, x id.ID) *Ring {
 	t.Helper()
 	self := wire.Contact{ID: x, Addr: fmt.Sprintf("fake/%d", x)}
-	rt, err := New(&fakeHost{t: t, self: self, space: space, net: net}, ring.Options{
+	h := &fakeHost{t: t, self: self, space: space, net: net, heard: map[string]bool{}, pings: map[string]int{}}
+	rt, err := New(h, ring.Options{
 		NeighborListLen: 4,
 		BucketSize:      4,
 		MaxLookupHops:   16,

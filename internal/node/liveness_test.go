@@ -1,0 +1,178 @@
+package node
+
+import (
+	"slices"
+	"testing"
+	"time"
+
+	"peercache/internal/id"
+	"peercache/internal/memnet"
+	"peercache/internal/wire"
+)
+
+// heardStamp reads x's heard stamp (0: never, or suspected since) and
+// whether x has a record at all.
+func heardStamp(n *Node, x id.ID) (int64, bool) {
+	n.addrMu.RLock()
+	defer n.addrMu.RUnlock()
+	rec := n.contacts[x]
+	if rec == nil {
+		return 0, false
+	}
+	return rec.heard.Load(), true
+}
+
+// A request marks its sender heard, and so does a correlated reply —
+// but not a pong, which only answers a liveness check. forgetAddr drops
+// the heard stamp with the address and the estimate.
+func TestRequestAndReplyMarkHeard(t *testing.T) {
+	space := id.NewSpace(16)
+	nw := memnet.New(1)
+	defer nw.CloseAll()
+	a, _ := tappedNode(t, nw, space, 1000)
+	b, _ := tappedNode(t, nw, space, 40000)
+
+	if _, err := b.call(a.Addr(), &wire.Message{Type: wire.TFindSucc, Target: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if h, ok := heardStamp(a, b.ID()); !ok || h == 0 {
+		t.Fatalf("a request left its sender unheard (record %t, stamp %d)", ok, h)
+	}
+	if h, ok := heardStamp(b, a.ID()); !ok || h == 0 {
+		t.Fatalf("a find-succ reply left its sender unheard (record %t, stamp %d)", ok, h)
+	}
+
+	c, _ := tappedNode(t, nw, space, 20000)
+	if err := a.Ping(c.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if h, ok := heardStamp(a, c.ID()); !ok || h != 0 {
+		t.Fatalf("a pong stamped its sender heard (record %t, stamp %d)", ok, h)
+	}
+	if _, ok := a.ContactRTT(c.ID()); !ok {
+		t.Fatal("the pong's round trip was not timed")
+	}
+	if h, _ := heardStamp(c, a.ID()); h == 0 {
+		t.Fatal("the ping request left its sender unheard")
+	}
+
+	a.forgetAddr(b.ID(), b.Addr())
+	if _, ok := heardStamp(a, b.ID()); ok {
+		t.Fatal("forgetAddr left the record behind")
+	}
+	if _, ok := a.ContactRTT(b.ID()); ok {
+		t.Fatal("forgetAddr left the estimate behind")
+	}
+}
+
+// Alive answers without I/O for a contact heard within StabilizeEvery
+// and pings exactly once otherwise; its own pong does not vouch for the
+// next check, and a lookup suspicion clears the stamp.
+func TestAliveSkipsHeardContact(t *testing.T) {
+	space := id.NewSpace(16)
+	nw := memnet.New(1)
+	defer nw.CloseAll()
+	a, _ := tappedNode(t, nw, space, 1000)
+	b, bTap := tappedNode(t, nw, space, 40000)
+
+	if _, err := b.call(a.Addr(), &wire.Message{Type: wire.TFindSucc, Target: 5}); err != nil {
+		t.Fatal(err)
+	}
+	// The node is parked, so nothing else reads the period.
+	a.cfg.StabilizeEvery = time.Hour
+	if !a.alive(b.Addr()) || bTap.got.Load() != 0 {
+		t.Fatalf("heard contact: %d pings, want none", bTap.got.Load())
+	}
+
+	a.cfg.StabilizeEvery = time.Nanosecond // the stamp is now stale
+	if !a.alive(b.Addr()) || bTap.got.Load() != 1 {
+		t.Fatalf("contact heard longer ago than the period: %d pings, want 1", bTap.got.Load())
+	}
+	if !a.alive(b.Addr()) || bTap.got.Load() != 2 {
+		t.Fatalf("check right after a pong: %d pings in total, want 2", bTap.got.Load())
+	}
+
+	if _, err := b.call(a.Addr(), &wire.Message{Type: wire.TFindSucc, Target: 5}); err != nil {
+		t.Fatal(err)
+	}
+	a.cfg.StabilizeEvery = time.Hour
+	a.suspect(b.Contact())
+	if !a.alive(b.Addr()) || bTap.got.Load() != 3 {
+		t.Fatalf("suspected contact: %d pings in total, want 3", bTap.got.Load())
+	}
+	if m := a.Metrics(); m.LivenessChecks != 4 || m.LivenessPings != 3 {
+		t.Fatalf("metrics: %d checks, %d pings; want 4, 3", m.LivenessChecks, m.LivenessPings)
+	}
+}
+
+// suspectRing is an 8-node parked chord ring whose node 500 keeps three
+// successors (9000, 17000, 26000) and races α = 3 with 40 ms probe
+// attempts, one retry each. A lookup from 500 for key 30000 (owner
+// 33000) seeds its frontier with exactly those three successors.
+func suspectRing(t *testing.T) ([]*Node, *memnet.Network) {
+	return parkedRing(t, id.NewSpace(16), benchIDs, func(cfg *Config) {
+		cfg.SuccessorListLen = 3
+		cfg.LookupAlpha = 3
+		cfg.RPCTimeout = 40 * time.Millisecond
+		cfg.RPCRetries = 1
+	})
+}
+
+// A lookup whose α probes all time out — the successors are fine, the
+// datagrams to them were lost — only makes them suspects. The node keeps
+// its successor list, answers the next lookup with the right owner, and
+// the next stabilize round confirms every suspect and evicts none.
+// Evicting on the timeout collapsed the list to self, after which the
+// node answered every lookup as a ring of one.
+func TestLookupTimeoutsKeepSuccessorList(t *testing.T) {
+	nodes, nw := suspectRing(t)
+	a := nodes[0]
+	want := []id.ID{9000, 17000, 26000}
+	if got := contactIDs(a.Successors()); !slices.Equal(got, want) {
+		t.Fatalf("setup: successors %v, want %v", got, want)
+	}
+	if got := contactIDs(a.rt.Candidates(30000, 3)); !slices.Equal(got, []id.ID{26000, 17000, 9000}) {
+		t.Fatalf("setup: candidates %v, want the three successors", got)
+	}
+	for _, s := range a.Successors() {
+		nw.DropNext(a.Addr(), s.Addr, 1+a.cfg.RPCRetries)
+	}
+	if _, _, err := a.Lookup(30000); err == nil {
+		t.Fatal("the lookup succeeded with every probe dropped")
+	}
+	if got := contactIDs(a.Successors()); !slices.Equal(got, want) {
+		t.Fatalf("successors after the timed-out lookup %v, want %v", got, want)
+	}
+	if owner, _, err := a.Lookup(30000); err != nil || owner.ID != 33000 {
+		t.Fatalf("next lookup: owner %d, %v; want 33000", owner.ID, err)
+	}
+	a.stabilize()
+	if got := contactIDs(a.Successors()); !slices.Equal(got, want) {
+		t.Fatalf("successors after the confirming round %v, want %v", got, want)
+	}
+	if m := a.Metrics(); m.SuspectEvictions != 0 {
+		t.Fatalf("%d suspects evicted, want 0", m.SuspectEvictions)
+	}
+}
+
+// A suspect that fails its confirming ping leaves the routing state
+// within one stabilize round.
+func TestFailedSuspectDroppedWithinOneRound(t *testing.T) {
+	nodes, _ := suspectRing(t)
+	a, dead := nodes[0], nodes[3]
+	if dead.ID() != 26000 {
+		t.Fatalf("setup: node 3 is %d", dead.ID())
+	}
+	dead.Crash()
+	a.Lookup(30000) // probes 26000 first, which times out
+	if !slices.Contains(contactIDs(a.Successors()), dead.ID()) {
+		t.Fatal("the timed-out probe evicted its contact before confirmation")
+	}
+	a.stabilize()
+	if got := contactIDs(a.Successors()); slices.Contains(got, dead.ID()) {
+		t.Fatalf("successors after one round %v still hold the dead suspect %d", got, dead.ID())
+	}
+	if m := a.Metrics(); m.SuspectEvictions != 1 {
+		t.Fatalf("%d suspects evicted, want 1", m.SuspectEvictions)
+	}
+}

@@ -16,7 +16,6 @@ type router interface {
 	Distance(target, candidate id.ID) uint64
 	LookupRequest(target id.ID) *wire.Message
 	ParseLookupResponse(target id.ID, resp *wire.Message) (found wire.Contact, done bool, candidates []wire.Contact)
-	DropPeer(x id.ID)
 	HasAux(x id.ID) bool
 }
 
@@ -40,12 +39,14 @@ type lookup struct {
 	maxHops int
 	// note records every contact a response names; rtt and rto read the
 	// smoothed RTT and the RTO of the contact at an address, for
-	// proximity routing and the hedge delay. Any may be nil: without rtt
-	// the race never routes by proximity, and without rto it hedges
-	// after timeout/4.
-	note func(wire.Contact)
-	rtt  func(addr string) (time.Duration, bool)
-	rto  func(addr string) (time.Duration, bool)
+	// proximity routing and the hedge delay; suspect receives every
+	// contact whose probe failed. Any may be nil: without rtt the race
+	// never routes by proximity, and without rto it hedges after
+	// timeout/4.
+	note    func(wire.Contact)
+	rtt     func(addr string) (time.Duration, bool)
+	rto     func(addr string) (time.Duration, bool)
+	suspect func(wire.Contact)
 }
 
 // newLookup builds a driver with cfg's lookup policy and no hooks.
@@ -151,12 +152,9 @@ func qosProbeIndex(frontier []frontierEntry, rtt func(addr string) (time.Duratio
 // the silence outlasts what the link has needed so far, long before the
 // timeout-and-retry budget burns, which is where racing wins. The
 // probe itself keeps its full timeout and retries: the hedge only adds
-// a racer. Eagerly filling all α slots per step
-// triples healthy-path traffic for nothing — and worse, one scheduling
-// stall then times out α probes at once, and the resulting DropPeer
-// burst can collapse a chord node's entire successor list, after which
-// it answers lookups as a ring of one and overclaims keys it does not
-// own.
+// a racer. Eagerly filling all α slots per step would triple
+// healthy-path traffic for nothing, and one scheduling stall would
+// then time out α probes at once.
 //
 // With qos set and an rtt hook, each launch routes by proximity instead
 // of taking the frontier head blindly: qosProbeIndex may promote a
@@ -169,8 +167,10 @@ func qosProbeIndex(frontier []frontierEntry, rtt func(addr string) (time.Duratio
 // first copy holder; otherwise probes are the router's LookupRequest
 // and the walk ends at the first Done answer.
 //
-// Failure reporting mirrors the old serial driver: a probe error
-// retires the peer via DropPeer and is remembered verbatim, and when
+// A probe error only makes the peer a suspect (liveness.go): evicting on
+// it let one stall that timed out α probes at once empty a chord node's
+// successor list, and the node then overclaimed keys as a ring of one.
+// The error is remembered verbatim, and when
 // the frontier drains without an answer the lookup fails with (in
 // precedence order) the last probe error, the hop-budget error, a
 // not-found error in value mode, or a no-progress error naming the
@@ -281,9 +281,9 @@ func (l *lookup) race(target id.ID, seed []wire.Contact, valueMode, qos bool) (r
 		inflight--
 		lastPeer = r.peer
 		if r.err != nil {
-			// The contact is unreachable: retire it from the routing
-			// state so the maintenance loops repair around it.
-			l.rt.DropPeer(r.peer.ID)
+			if l.suspect != nil {
+				l.suspect(r.peer)
+			}
 			lastErr = fmt.Errorf("node: lookup %d at %v: %w", target, r.peer, r.err)
 			launch()
 			continue

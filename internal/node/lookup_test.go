@@ -19,9 +19,8 @@ import (
 	"peercache/internal/wire"
 )
 
-// fakeRouter ranks by absolute id difference, steps with TFindSucc, and
-// records every peer the driver retires.
-type fakeRouter struct{ dropped []id.ID }
+// fakeRouter ranks by absolute id difference and steps with TFindSucc.
+type fakeRouter struct{}
 
 func (*fakeRouter) Distance(target, c id.ID) uint64 {
 	if c > target {
@@ -40,9 +39,6 @@ func (*fakeRouter) ParseLookupResponse(_ id.ID, resp *wire.Message) (wire.Contac
 	}
 	return wire.Contact{}, false, []wire.Contact{resp.Next}
 }
-
-// DropPeer runs on the race loop, the test's own goroutine.
-func (r *fakeRouter) DropPeer(x id.ID) { r.dropped = append(r.dropped, x) }
 
 func (*fakeRouter) HasAux(id.ID) bool { return false }
 
@@ -116,19 +112,22 @@ func TestLookupErrorPrecedence(t *testing.T) {
 		nw := memnet.New(1)
 		peers := chain(t, nw, 4)
 		dead := memContact(950) // nobody listens: its probe times out
-		rt := &fakeRouter{}
 		// The dead contact ranks first; the hedge launches the chain
 		// beside it, which spends the budget of 3 before the dead probe
-		// times out.
-		out, err := driver(t, nw, rt, 3).race(target, []wire.Contact{dead, peers[0].c}, false, false)
+		// times out. The suspect hook runs on the race loop, the test's
+		// own goroutine.
+		l := driver(t, nw, &fakeRouter{}, 3)
+		var suspects []wire.Contact
+		l.suspect = func(c wire.Contact) { suspects = append(suspects, c) }
+		out, err := l.race(target, []wire.Contact{dead, peers[0].c}, false, false)
 		if !errors.Is(err, ErrTimeout) {
 			t.Fatalf("err %v, want the dead probe's timeout", err)
 		}
 		if out.hops != 3 || peers[2].hits.Load() != 0 {
 			t.Fatalf("%d probes, third chain peer hit %d times: want the budget of 3 spent", out.hops, peers[2].hits.Load())
 		}
-		if len(rt.dropped) != 1 || rt.dropped[0] != dead.ID {
-			t.Fatalf("retired %v, want only the dead contact", rt.dropped)
+		if len(suspects) != 1 || suspects[0] != dead {
+			t.Fatalf("suspected %v, want only the dead contact", suspects)
 		}
 	})
 

@@ -336,6 +336,10 @@ type Metrics struct {
 	// RTTContacts is the number of contacts with a live RTT estimate.
 	RTTContacts int
 
+	// Liveness plane (liveness.go): Alive calls, the ones that had to
+	// ping, and lookup suspects evicted after a failed check.
+	LivenessChecks, LivenessPings, SuspectEvictions uint64
+
 	// Gauges: current item counts by authority.
 	ItemsOwned, ItemsReplica, ItemsCached int
 	// Alpha is the lookup driver's live probe concurrency.
@@ -366,21 +370,22 @@ type Node struct {
 	window *freq.Shared
 
 	// addrMu guards the contact cache: every id the node has ever heard
-	// from, mapped to its last known transport address (the live-network
-	// analogue of the simulator's global node map — without it a freshly
-	// selected auxiliary id would be unroutable). Shared by all
-	// geometries; the heal probe samples it.
-	addrMu sync.RWMutex
-	addrs  map[id.ID]string
-	// byAddr indexes addrs by address (address → the id last cached at
-	// it), so the lookup race can find the estimate behind an aliased
+	// of, mapped to its record (rtt.go): last known address (the
+	// live-network analogue of the simulator's global node map — without
+	// it a freshly selected auxiliary id would be unroutable), RTT
+	// estimate and heard time. The heal probe samples it.
+	addrMu   sync.RWMutex
+	contacts map[id.ID]*contact
+	// byAddr indexes contacts by address (address → the id last cached
+	// at it), so the lookup race can find the estimate behind an aliased
 	// aux contact. It changes only in setAddrLocked and forgetAddr:
-	// every entry has a backing addrs entry.
+	// every entry has a backing contacts entry.
 	byAddr map[string]id.ID
-	// rtt holds the smoothed per-contact RTT estimates (rtt.go), under
-	// addrMu so estimate eviction is atomic with address eviction:
-	// every estimate has a backing addrs entry.
-	rtt map[id.ID]rttEstimate
+
+	// suspects maps the contacts of failed lookup probes, id → address,
+	// until the next stabilize round checks them (liveness.go).
+	suspectMu sync.Mutex
+	suspects  map[id.ID]string
 
 	// Data plane (kv.go): the authoritative item store, the bounded
 	// cache of copies picked up on the GET path (nil when disabled),
@@ -413,6 +418,8 @@ type Node struct {
 	auxQoSInfeasible atomic.Uint64
 	rttSamples       atomic.Uint64
 
+	livenessChecks, livenessPings, suspectEvictions atomic.Uint64
+
 	putsIssued, getsIssued  atomic.Uint64
 	putsServed, getsServed  atomic.Uint64
 	storeHits, cacheHits    atomic.Uint64
@@ -438,8 +445,7 @@ func (h host) Call(addr string, req *wire.Message) (*wire.Message, error) {
 func (h host) Send(addr string, m *wire.Message)               { h.n.tr.send(addr, m) }
 func (h host) Resolve(target id.ID) (wire.Contact, int, error) { return h.n.FindSuccessor(target) }
 func (h host) Note(c wire.Contact)                             { h.n.noteContact(c) }
-func (h host) AddrOf(x id.ID) (string, bool)                   { return h.n.addrOf(x) }
-func (h host) RTTOf(x id.ID) (time.Duration, bool)             { return h.n.ContactRTT(x) }
+func (h host) Alive(addr string) bool                          { return h.n.alive(addr) }
 
 // Start opens the datagram endpoint through the configured Listener
 // (real UDP by default), builds the routing geometry, starts the read
@@ -463,12 +469,12 @@ func Start(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("node: advertise address %q exceeds %d bytes", adv, wire.MaxAddrLen)
 	}
 	n := &Node{
-		cfg:    cfg,
-		self:   wire.Contact{ID: cfg.ID, Addr: adv},
-		addrs:  make(map[id.ID]string),
-		byAddr: make(map[string]id.ID),
-		rtt:    make(map[id.ID]rttEstimate),
-		window: freq.NewShared(auxWindowBuckets),
+		cfg:      cfg,
+		self:     wire.Contact{ID: cfg.ID, Addr: adv},
+		contacts: make(map[id.ID]*contact),
+		byAddr:   make(map[string]id.ID),
+		suspects: make(map[id.ID]string),
+		window:   freq.NewShared(auxWindowBuckets),
 	}
 	n.auxQoS.Store(cfg.AuxQoS)
 	n.store = newStore(cfg.StoreCapacity, cfg.StoreTTL)
@@ -479,7 +485,10 @@ func Start(cfg Config) (*Node, error) {
 	// capture a working Host) but starts reading only after, so no
 	// request races the geometry's construction.
 	n.tr = newTransport(conn, n.self, n.handle)
-	n.tr.onRTT = n.observeRTT
+	n.tr.onReply = func(resp *wire.Message, sample time.Duration) {
+		// A pong answers a liveness check and vouches for nothing more.
+		n.observeRTT(resp.From, sample, resp.Type != wire.TPong)
+	}
 	n.rt, err = cfg.NewRing(host{n}, ring.Options{
 		NeighborListLen: cfg.SuccessorListLen,
 		BucketSize:      cfg.BucketSize,
@@ -491,7 +500,7 @@ func Start(cfg Config) (*Node, error) {
 		return nil, err
 	}
 	n.lk = newLookup(n.tr, n.rt, cfg)
-	n.lk.note, n.lk.rtt, n.lk.rto = n.noteContact, n.srttAt, n.rtoAt
+	n.lk.note, n.lk.rtt, n.lk.rto, n.lk.suspect = n.noteContact, n.srttAt, n.rtoAt, n.suspect
 	n.tr.start()
 
 	n.every(cfg.StabilizeEvery, n.stabilize)
@@ -668,20 +677,16 @@ func (n *Node) Metrics() Metrics {
 		AuxQoSSelects:     n.auxQoSSelects.Load(),
 		AuxQoSInfeasible:  n.auxQoSInfeasible.Load(),
 		AuxQoS:            n.auxQoS.Load(),
-		RTTContacts:       n.rttContacts(),
+		RTTContacts:       len(n.ContactRTTs()),
+		LivenessChecks:    n.livenessChecks.Load(),
+		LivenessPings:     n.livenessPings.Load(),
+		SuspectEvictions:  n.suspectEvictions.Load(),
 		ItemsOwned:        owned,
 		ItemsReplica:      replicas,
 		ItemsCached:       cached,
 		Alpha:             n.cfg.LookupAlpha,
 		StoreShards:       storeShards,
 	}
-}
-
-// rttContacts is the tracked-estimate count gauge.
-func (n *Node) rttContacts() int {
-	n.addrMu.RLock()
-	defer n.addrMu.RUnlock()
-	return len(n.rtt)
 }
 
 // call is the node's RPC entry point with the configured timeout/retry
@@ -703,7 +708,10 @@ func (n *Node) Ping(addr string) error {
 // noteContact records c's address in the contact cache. Self and
 // addressless contacts are ignored — in particular the zero sender
 // contact of anonymous kv clients never pollutes routing state.
-func (n *Node) noteContact(c wire.Contact) {
+func (n *Node) noteContact(c wire.Contact) { n.note(c, false) }
+
+// note records c's address and, when heard, stamps c heard now.
+func (n *Node) note(c wire.Contact, heard bool) {
 	if c.ID == n.self.ID || c.Addr == "" {
 		return
 	}
@@ -711,49 +719,71 @@ func (n *Node) noteContact(c wire.Contact) {
 	// already has (every handled request and parsed response notes its
 	// contacts), so check under the read lock first — at cluster scale
 	// the unconditional write lock here serialized the read loops of
-	// every node in the process.
+	// every node in the process. The heard stamp is atomic for the same
+	// reason.
 	n.addrMu.RLock()
-	known := n.addrs[c.ID] == c.Addr
+	rec := n.contacts[c.ID]
+	known := rec != nil && rec.addr == c.Addr
+	if known && heard {
+		rec.heard.Store(stampNow())
+	}
 	n.addrMu.RUnlock()
 	if known {
 		return
 	}
 	n.addrMu.Lock()
-	n.setAddrLocked(c.ID, c.Addr)
+	rec = n.setAddrLocked(c.ID, c.Addr)
+	if heard {
+		rec.heard.Store(stampNow())
+	}
 	n.addrMu.Unlock()
 }
 
 // setAddrLocked caches addr as x's address and indexes it, dropping the
-// index entry of x's previous address. The caller holds addrMu.
-func (n *Node) setAddrLocked(x id.ID, addr string) {
-	if old, ok := n.addrs[x]; ok {
-		if old == addr && n.byAddr[addr] == x {
-			return // every RTT sample lands here: read, don't write
-		}
-		if old != addr && n.byAddr[old] == x {
-			delete(n.byAddr, old)
-		}
+// index entry of x's previous address, and returns x's record. The
+// caller holds addrMu.
+func (n *Node) setAddrLocked(x id.ID, addr string) *contact {
+	rec := n.contacts[x]
+	if rec == nil {
+		rec = &contact{}
+		n.contacts[x] = rec
+	} else if rec.addr == addr && n.byAddr[addr] == x {
+		return rec // every RTT sample lands here: read, don't write
+	} else if rec.addr != addr && n.byAddr[rec.addr] == x {
+		delete(n.byAddr, rec.addr)
 	}
-	n.addrs[x] = addr
+	rec.addr = addr
 	n.byAddr[addr] = x
+	return rec
+}
+
+// contactAtLocked returns the record cached at addr, or nil. The caller
+// holds addrMu.
+func (n *Node) contactAtLocked(addr string) *contact {
+	if x, ok := n.byAddr[addr]; ok {
+		return n.contacts[x]
+	}
+	return nil
 }
 
 // addrOf returns the cached address for x.
 func (n *Node) addrOf(x id.ID) (string, bool) {
 	n.addrMu.RLock()
-	a, ok := n.addrs[x]
-	n.addrMu.RUnlock()
-	return a, ok
+	defer n.addrMu.RUnlock()
+	if rec := n.contacts[x]; rec != nil {
+		return rec.addr, true
+	}
+	return "", false
 }
 
-// forgetAddr drops x's contact-cache entry, but only while it still
-// maps to the address that just failed — a concurrent noteContact may
-// have learned a fresher address, and that one must survive.
+// forgetAddr drops x's record — address, estimate and heard time
+// together — but only while it still maps to the address that just
+// failed: a concurrent noteContact may have learned a fresher address,
+// and that one must survive.
 func (n *Node) forgetAddr(x id.ID, failed string) {
 	n.addrMu.Lock()
-	if n.addrs[x] == failed {
-		delete(n.addrs, x)
-		delete(n.rtt, x) // estimate eviction is atomic with the address
+	if rec := n.contacts[x]; rec != nil && rec.addr == failed {
+		delete(n.contacts, x)
 		if n.byAddr[failed] == x {
 			delete(n.byAddr, failed)
 		}
@@ -773,8 +803,8 @@ func (n *Node) forgetAddr(x id.ID, failed string) {
 func (n *Node) randomCached() (wire.Contact, bool) {
 	n.addrMu.RLock()
 	defer n.addrMu.RUnlock()
-	for x, addr := range n.addrs {
-		return wire.Contact{ID: x, Addr: addr}, true
+	for x, rec := range n.contacts {
+		return wire.Contact{ID: x, Addr: rec.addr}, true
 	}
 	return wire.Contact{}, false
 }
@@ -786,12 +816,13 @@ func (n *Node) Join(bootstrap string) error {
 	return n.rt.Join(bootstrap)
 }
 
-// handle processes one incoming request on the read-loop goroutine. It
+// handle processes one incoming request on the read-loop goroutine: the
+// request is proof its sender is alive, so the sender is noted heard. It
 // must not block: local state plus one reply datagram only. Types the
 // runtime does not own are offered to the geometry; unknown requests
 // are dropped without a reply.
 func (n *Node) handle(m *wire.Message, src string) {
-	n.noteContact(m.From)
+	n.note(m.From, true)
 	resp := &wire.Message{MsgID: m.MsgID, From: n.self}
 	switch m.Type {
 	case wire.TPing:
@@ -895,44 +926,15 @@ func (n *Node) Lookup(key id.ID) (wire.Contact, int, error) {
 
 // stabilize runs one maintenance round: the geometry's near-neighbor
 // protocol first, then the runtime-owned pieces that are the same for
-// every geometry — auxiliary liveness pings (Section III's point that
-// auxiliary neighbors ride the same ping process as core ones), a
-// replication push when the replica target set changed, and the heal
-// probe that lets rings separated by a network partition find each
-// other again once it lifts.
-//
-// Aux liveness is pinged per distinct address, not per entry: the
-// owner-aliased entries for several hot keys of one owner, or a direct
-// entry beside an alias to the same node, share an address, and that
-// node answers for all of them at once.
+// every geometry — the liveness checks of suspects and auxiliary
+// neighbors (liveness.go; Section III's point that auxiliary neighbors
+// ride the same ping process as core ones), a replication push when the
+// replica target set changed, and the heal probe that lets rings
+// separated by a network partition find each other again once it
+// lifts.
 func (n *Node) stabilize() {
 	n.rt.Stabilize()
-	aux := n.rt.Aux()
-	live := make(map[string]bool, len(aux))
-	for _, a := range aux {
-		ok, pinged := live[a.Addr]
-		if !pinged {
-			_, err := n.call(a.Addr, &wire.Message{Type: wire.TPing})
-			ok = err == nil
-			live[a.Addr] = ok
-		}
-		if ok {
-			continue
-		}
-		n.rt.RemoveAux(a.ID)
-		// Also retire the caches the entry was installed from, or the
-		// very next recompute would re-select the id, find the same dead
-		// address, and reinstall the entry — an evict/reinstall loop that
-		// never converges. Dropping the caches bounds eviction: once a
-		// recompute runs after this round, the id either resolves to a
-		// live address learned since or is skipped. (The aux id is a node
-		// id for directly selected entries — forget its contact-cache
-		// address — and a key position for owner-aliased ones —
-		// invalidate its owner hint; the wrong-side call of each pair is
-		// a no-op.)
-		n.forgetAddr(a.ID, a.Addr)
-		n.ownerHints.Invalidate(a.ID)
-	}
+	n.checkLiveness()
 	n.replicateOnSuccChange()
 	n.healProbe()
 }

@@ -13,9 +13,10 @@
 // hop and stabilize gossips one per round) and TLeafProbe/TLeafProbeResp
 // (a peer's leaf set, less the requester; stabilize probes every leaf
 // with it, and a joiner announces itself by firing one-way probes at
-// everyone it learned of). Gossiped contacts are pinged before adoption,
-// but only those the placement rule would keep, each at most once per
-// stabilize round. Lookups ride the runtime's protocol-neutral TFindSucc.
+// everyone it learned of). Gossiped contacts are checked alive before
+// adoption, but only those the placement rule would keep, each at most
+// once per stabilize round. Liveness checks go through Host.Alive.
+// Lookups ride the runtime's protocol-neutral TFindSucc.
 //
 // Aux selection uses the prefix distance metric (SelectAux: the paper's
 // O(nkb) greedy, or the Section IV-D DP under delay bounds).
@@ -366,11 +367,11 @@ func (r *Ring) HandleRequest(m *wire.Message, resp *wire.Message) bool {
 // Stabilize runs one leaf-set maintenance round: probe every leaf with
 // TLeafProbe (dead leaves drop out of all state; survivors' leaf sets
 // are merged), then trade prefix-table rows with one random peer.
-// Gossiped candidates may themselves be stale, so adopt pings an
-// unknown one before learning it — otherwise dead nodes keep
+// Gossiped candidates may themselves be stale, so adopt checks an
+// unknown one alive before learning it — otherwise dead nodes keep
 // circulating between peers that drop and re-learn them. The round
 // shares one tried set across every reply: a contact named by several
-// leaves, or a dead one, costs at most one ping per round.
+// leaves, or a dead one, costs at most one check per round.
 func (r *Ring) Stabilize() {
 	tried := make(map[id.ID]bool)
 	for _, lf := range r.leafList(wire.Contact{}) {
@@ -398,7 +399,7 @@ func (r *Ring) Stabilize() {
 }
 
 // RepairTable maintains one prefix-table row per call, round-robin: a
-// populated row is pinged (and cleared if dead); an empty one is
+// populated row is checked alive (and cleared if dead); an empty one is
 // refilled by resolving an id in the row's subtree — self with bit l
 // flipped — and adopting the answer when its common prefix length is
 // exactly l.
@@ -410,7 +411,7 @@ func (r *Ring) RepairTable() {
 	cur := r.rows[l]
 	r.mu.Unlock()
 	if has {
-		if _, err := r.h.Call(cur.Addr, &wire.Message{Type: wire.TPing}); err != nil {
+		if !r.h.Alive(cur.Addr) {
 			r.DropPeer(cur.ID)
 		}
 		return
@@ -609,10 +610,10 @@ func (r *Ring) placement(x id.ID) (row uint, inRow, inLeaves bool) {
 	return row, inRow, cw < r.leafHalf || ccw < r.leafHalf
 }
 
-// adopt pings a gossiped candidate and learns it if it answers — but
-// only an unknown candidate that placement would keep, and only once
-// per tried set; known contacts, candidates learn would drop, repeats
-// and obvious junk are skipped without I/O.
+// adopt learns a gossiped candidate if it is alive — but only an
+// unknown candidate that placement would keep, and only once per tried
+// set; known contacts, candidates learn would drop, repeats and obvious
+// junk are skipped without a check.
 func (r *Ring) adopt(c wire.Contact, tried map[id.ID]bool) {
 	if c.IsZero() || c.ID == r.self.ID || c.Addr == "" || tried[c.ID] {
 		return
@@ -630,10 +631,9 @@ func (r *Ring) adopt(c wire.Contact, tried map[id.ID]bool) {
 		return
 	}
 	tried[c.ID] = true
-	if _, err := r.h.Call(c.Addr, &wire.Message{Type: wire.TPing}); err != nil {
-		return
+	if r.h.Alive(c.Addr) {
+		r.learn(c)
 	}
-	r.learn(c)
 }
 
 // leafList returns the wire-ready leaf set: clockwise side nearest-first

@@ -3,7 +3,6 @@ package pastryring
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"peercache/internal/id"
 	"peercache/internal/node/ring"
@@ -15,9 +14,12 @@ import (
 // as the runtime's read loop would, answering the runtime-owned TPing
 // itself; an address in dead (or one nobody listens at) fails every
 // Call, as a crashed peer does once the runtime's retries run out.
+// Alive stands in for the runtime's liveness record: an address in
+// heard answers without I/O, any other costs one TPing Call.
 type fakeNet struct {
 	rings map[string]*Ring
 	dead  map[string]bool
+	heard map[string]bool
 	calls map[fakeCall]int // Calls issued, by caller, callee and type
 	// resolve answers every Host.Resolve on the net; nil fails them.
 	resolve func(target id.ID) (wire.Contact, error)
@@ -29,7 +31,7 @@ type fakeCall struct {
 }
 
 func newFakeNet() *fakeNet {
-	return &fakeNet{rings: make(map[string]*Ring), dead: make(map[string]bool), calls: make(map[fakeCall]int)}
+	return &fakeNet{rings: make(map[string]*Ring), dead: make(map[string]bool), heard: make(map[string]bool), calls: make(map[fakeCall]int)}
 }
 
 // count sums the Calls r issued of type typ, to the address to or, when
@@ -92,9 +94,15 @@ func (h *fakeHost) Resolve(target id.ID) (wire.Contact, int, error) {
 	return c, 1, err
 }
 
-func (h *fakeHost) Note(c wire.Contact)                 {}
-func (h *fakeHost) AddrOf(x id.ID) (string, bool)       { return "", false }
-func (h *fakeHost) RTTOf(x id.ID) (time.Duration, bool) { return 0, false }
+func (h *fakeHost) Note(c wire.Contact) {}
+
+func (h *fakeHost) Alive(addr string) bool {
+	if h.net.heard[addr] {
+		return true
+	}
+	_, err := h.Call(addr, &wire.Message{Type: wire.TPing})
+	return err == nil
+}
 
 // addRing builds one Ring with leaf sides of 4 on the fake net.
 func (n *fakeNet) addRing(tb testing.TB, space id.Space, x id.ID) *Ring {
@@ -385,23 +393,64 @@ func TestLeafProbeRespOmitsRequester(t *testing.T) {
 	}
 }
 
-// BenchmarkStabilizePastry prices one maintenance round on the
-// converged 16-node fake ring: RPCs issued per Stabilize (rpcs/round),
-// and the CPU and allocations of the round itself.
-func BenchmarkStabilizePastry(b *testing.B) {
-	net, rs := convergedRing(b)
+// TestRepairTableSkipsHeardRow: a row entry the runtime heard from
+// within the period passes RepairTable's check without a ping.
+func TestRepairTableSkipsHeardRow(t *testing.T) {
+	net, rs := convergedRing(t)
 	x := rs[0]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x.Stabilize()
+	row0, ok := x.Rows()[0]
+	if !ok {
+		t.Fatal("setup: row 0 is empty")
 	}
-	b.StopTimer()
-	rpcs := 0
-	for c, k := range net.calls {
-		if c.from == x.self.Addr {
-			rpcs += k
+	net.heard[row0.Addr] = true
+	x.RepairTable()
+	if got := len(net.calls); got != 0 {
+		t.Fatalf("repair of a heard row issued calls %v, want none", net.calls)
+	}
+	if got, ok := x.Rows()[0]; !ok || got.ID != row0.ID {
+		t.Fatalf("heard row 0 entry %d replaced by %v", row0.ID, got)
+	}
+}
+
+// BenchmarkStabilizePastry prices one maintenance round — a Stabilize
+// and a RepairTable call — on the converged 16-node fake ring: RPCs
+// issued (rpcs/round), liveness pings among them (pings/round), and the
+// CPU and allocations of the round itself. In the heard case the
+// runtime has heard from every contact within the period, and the round
+// must ping nobody.
+func BenchmarkStabilizePastry(b *testing.B) {
+	for _, heard := range []bool{false, true} {
+		name := "unheard"
+		if heard {
+			name = "heard"
 		}
+		b.Run(name, func(b *testing.B) {
+			net, rs := convergedRing(b)
+			x := rs[0]
+			if heard {
+				for addr := range net.rings {
+					net.heard[addr] = true
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				x.Stabilize()
+				x.RepairTable()
+			}
+			b.StopTimer()
+			rpcs := 0
+			for c, k := range net.calls {
+				if c.from == x.self.Addr {
+					rpcs += k
+				}
+			}
+			pings := net.count(x, wire.TPing, "")
+			b.ReportMetric(float64(rpcs)/float64(b.N), "rpcs/round")
+			b.ReportMetric(float64(pings)/float64(b.N), "pings/round")
+			if heard && pings != 0 {
+				b.Fatalf("all contacts heard, yet %d liveness pings", pings)
+			}
+		})
 	}
-	b.ReportMetric(float64(rpcs)/float64(b.N), "rpcs/round")
 }

@@ -110,7 +110,7 @@ func TestAuxQoSBoundsRespected(t *testing.T) {
 				if x == far {
 					rtt = farRTT
 				}
-				n.observeRTT(c, rtt)
+				n.observeRTT(c, rtt, true)
 			}
 			for _, x := range near {
 				observeKeys(n, x, 100)

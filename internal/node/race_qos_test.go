@@ -146,8 +146,8 @@ func TestQoSProbeOrdering(t *testing.T) {
 // promotes it over the geometry's pick.
 func TestQoSProbePromotesAliasedAux(t *testing.T) {
 	n := newRTTNode(t)
-	n.observeRTT(wire.Contact{ID: 1, Addr: memAddr(1)}, 40*time.Millisecond)
-	n.observeRTT(wire.Contact{ID: 7, Addr: memAddr(7)}, 2*time.Millisecond)
+	n.observeRTT(wire.Contact{ID: 1, Addr: memAddr(1)}, 40*time.Millisecond, true)
+	n.observeRTT(wire.Contact{ID: 7, Addr: memAddr(7)}, 2*time.Millisecond, true)
 	frontier := probeFrontier(fe(1, 100), aliasFE(900, 7, 120))
 	if _, ok := n.ContactRTT(900); ok {
 		t.Fatal("the key position acquired an estimate of its own")

@@ -2,11 +2,13 @@
 // node runtime (internal/node) and a pluggable routing geometry. The
 // runtime owns everything a geometry should not care about — the
 // datagram transport, RPC timeouts and retries, the iterative lookup
-// driver, the kv data plane, replication, the contact-address cache,
+// driver, the kv data plane, replication, the contact cache, liveness,
 // and the tickers — while the geometry owns the routing state and the
 // decisions only it can make: the next hop toward a key, whether this
 // node is responsible for a key, which wire messages each maintenance
 // tick sends, and how incoming protocol requests mutate the table.
+// A geometry asks Host.Alive whether an entry lives and sends no ping of
+// its own.
 //
 // Three geometries implement the contract today: chordring (successor
 // list + finger table + `(pred, self]` ownership, the default),
@@ -25,17 +27,16 @@
 package ring
 
 import (
-	"time"
-
 	"peercache/internal/core"
 	"peercache/internal/id"
 	"peercache/internal/wire"
 )
 
 // Host is the runtime surface a Routing implementation programs
-// against. All methods are safe for concurrent use. Call and Resolve
-// perform network I/O and must not be used from HandleRequest (which
-// runs on the read loop); Send is fire-and-forget and is safe anywhere.
+// against. All methods are safe for concurrent use. Call, Resolve and
+// Alive perform network I/O and must not be used from HandleRequest
+// (which runs on the read loop); Send is fire-and-forget and is safe
+// anywhere.
 type Host interface {
 	// Self returns this node's own contact.
 	Self() wire.Contact
@@ -53,13 +54,10 @@ type Host interface {
 	// Note records a contact in the runtime's address cache, the pool
 	// the heal probe samples and aux aliasing resolves against.
 	Note(c wire.Contact)
-	// AddrOf looks up a cached address for x.
-	AddrOf(x id.ID) (string, bool)
-	// RTTOf looks up the runtime's smoothed RTT estimate for x —
-	// measured on every correlated RPC the transport completes. False
-	// until at least one response from x has been timed (or after the
-	// contact was evicted from the cache).
-	RTTOf(x id.ID) (time.Duration, bool)
+	// Alive reports whether the contact at addr lives: true without
+	// I/O when it was heard from within one StabilizeEvery, else
+	// whether it answers one ping under Call's policy.
+	Alive(addr string) bool
 }
 
 // Options carries the geometry-relevant slice of node.Config.

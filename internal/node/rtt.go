@@ -1,24 +1,23 @@
 package node
 
-// Per-contact smoothed RTT. Every correlated RPC that completes is a
-// free latency measurement: the transport knows exactly when an
-// attempt's datagram went out and when its paired response arrived, and
-// the response's From identifies the peer. The node folds those samples
-// into TCP's estimator (RFC 6298: smoothed RTT and RTT variation) per
-// contact, stored alongside the address cache under the same lock so
-// eviction stays atomic: forgetAddr drops a peer's estimate with its
-// address, never leaving an orphaned estimate (the soak suite's
-// latency-sane invariant).
+// The per-contact record: a peer's address, smoothed RTT and heard
+// time live in one entry of one map under one lock, so evicting an
+// address evicts the rest with it (the soak suite's latency-sane
+// invariant).
 //
-// The estimates are the live runtime's cost model for the paper's QoS
-// selection (recomputeAux's AuxQoS mode weights observed lookup
-// frequencies by measured RTT and bounds far peers) and for the lookup
-// race's hedge delay (the probed contact's RTO), and are surfaced
-// through ring.Host.RTTOf and the p2pnode metrics JSON.
+// Every correlated RPC that completes is a free latency measurement:
+// the transport knows when an attempt's datagram went out and when its
+// paired response arrived, and the response's From identifies the peer.
+// The node folds those samples into TCP's estimator (RFC 6298: smoothed
+// RTT and RTT variation) per contact: the cost model of the paper's QoS
+// selection (recomputeAux's AuxQoS mode) and of the lookup race's hedge
+// delay (the probed contact's RTO), surfaced in the p2pnode metrics
+// JSON. The heard time is the liveness half (liveness.go).
 
 import (
 	"math"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"peercache/internal/id"
@@ -33,6 +32,16 @@ const (
 	rttAlpha = 0.125
 	rttBeta  = 0.25
 )
+
+// contact is one peer's record. addr and rtt change under addrMu's
+// write lock; heard is atomic, so the request path stamps it under the
+// read lock. heard is the stampNow of the last request or non-pong
+// reply from the peer; 0 is never, or suspected since.
+type contact struct {
+	addr  string
+	rtt   rttEstimate
+	heard atomic.Int64
+}
 
 // rttEstimate is one contact's smoothed RTT state.
 type rttEstimate struct {
@@ -58,19 +67,19 @@ func (e rttEstimate) rto() time.Duration {
 	return max(rtoMin, time.Duration(e.srtt+4*e.rttvar))
 }
 
-// observeRTT folds one measured sample into the peer's estimate. A peer
-// that answered an RPC is by definition a live, routable contact, so
-// the address cache learns it in the same critical section — keeping
-// the invariant that every RTT estimate has a backing address entry.
-// Non-positive samples, self, and zero contacts are ignored.
-func (n *Node) observeRTT(c wire.Contact, sample time.Duration) {
+// observeRTT folds one measured sample into the peer's estimate and,
+// when heard, stamps the peer heard now. A peer that answered an RPC
+// is by definition a live, routable contact, so the address cache
+// learns it in the same critical section. Non-positive samples, self,
+// and zero contacts are ignored.
+func (n *Node) observeRTT(c wire.Contact, sample time.Duration, heard bool) {
 	if sample <= 0 || c.IsZero() || c.ID == n.self.ID || len(c.Addr) > wire.MaxAddrLen {
 		return
 	}
 	r := float64(sample)
 	n.addrMu.Lock()
-	n.setAddrLocked(c.ID, c.Addr)
-	e := n.rtt[c.ID]
+	rec := n.setAddrLocked(c.ID, c.Addr)
+	e := &rec.rtt
 	if e.samples == 0 {
 		e.srtt, e.rttvar = r, r/2
 	} else {
@@ -79,7 +88,9 @@ func (n *Node) observeRTT(c wire.Contact, sample time.Duration) {
 		e.srtt += rttAlpha * (r - e.srtt)
 	}
 	e.samples++
-	n.rtt[c.ID] = e
+	if heard {
+		rec.heard.Store(stampNow())
+	}
 	n.addrMu.Unlock()
 	n.rttSamples.Add(1)
 }
@@ -91,10 +102,13 @@ func (n *Node) observeRTT(c wire.Contact, sample time.Duration) {
 // the owner's measurements.
 func (n *Node) rttAt(addr string) (rttEstimate, bool) {
 	n.addrMu.RLock()
-	x, ok := n.byAddr[addr]
-	e := n.rtt[x]
+	rec := n.contactAtLocked(addr)
+	var e rttEstimate
+	if rec != nil {
+		e = rec.rtt
+	}
 	n.addrMu.RUnlock()
-	return e, ok && e.samples > 0
+	return e, e.samples > 0
 }
 
 // srttAt is the lookup race's proximity hook: the smoothed RTT of the
@@ -115,36 +129,47 @@ func (n *Node) rtoAt(addr string) (time.Duration, bool) {
 // folded in (and the contact has not been evicted since).
 func (n *Node) ContactRTT(x id.ID) (time.Duration, bool) {
 	n.addrMu.RLock()
-	e, ok := n.rtt[x]
-	n.addrMu.RUnlock()
-	if !ok || e.samples == 0 {
-		return 0, false
+	var e rttEstimate
+	if rec := n.contacts[x]; rec != nil {
+		e = rec.rtt
 	}
-	return time.Duration(e.srtt), true
+	n.addrMu.RUnlock()
+	return time.Duration(e.srtt), e.samples > 0
 }
 
 // ContactRTTInfo is one contact's latency snapshot, as surfaced in the
-// p2pnode metrics JSON.
+// p2pnode metrics JSON. Heard is how long ago the contact was last
+// heard from, negative when it never was (or is suspected since).
 type ContactRTTInfo struct {
 	ID      id.ID
 	Addr    string
 	SRTT    time.Duration
 	RTTVar  time.Duration
 	Samples uint64
+	Heard   time.Duration
 }
 
-// ContactRTTs snapshots every tracked estimate, sorted by id for
-// deterministic output.
+// ContactRTTs snapshots every contact with an estimate, sorted by id
+// for deterministic output.
 func (n *Node) ContactRTTs() []ContactRTTInfo {
+	now := stampNow()
 	n.addrMu.RLock()
-	out := make([]ContactRTTInfo, 0, len(n.rtt))
-	for x, e := range n.rtt {
+	out := make([]ContactRTTInfo, 0, len(n.contacts))
+	for x, rec := range n.contacts {
+		if rec.rtt.samples == 0 {
+			continue
+		}
+		heard := time.Duration(-1)
+		if h := rec.heard.Load(); h > 0 {
+			heard = time.Duration(now - h)
+		}
 		out = append(out, ContactRTTInfo{
 			ID:      x,
-			Addr:    n.addrs[x],
-			SRTT:    time.Duration(e.srtt),
-			RTTVar:  time.Duration(e.rttvar),
-			Samples: e.samples,
+			Addr:    rec.addr,
+			SRTT:    time.Duration(rec.rtt.srtt),
+			RTTVar:  time.Duration(rec.rtt.rttvar),
+			Samples: rec.rtt.samples,
+			Heard:   heard,
 		})
 	}
 	n.addrMu.RUnlock()

@@ -39,13 +39,13 @@ func TestRTTEWMAConvergence(t *testing.T) {
 	peer := wire.Contact{ID: 7, Addr: "mem/7"}
 
 	// First sample initializes the estimate directly.
-	n.observeRTT(peer, 10*time.Millisecond)
+	n.observeRTT(peer, 10*time.Millisecond, true)
 	if got, ok := n.ContactRTT(7); !ok || got != 10*time.Millisecond {
 		t.Fatalf("after first sample: %v, %t; want exactly 10ms", got, ok)
 	}
 	// A constant stream must hold it there.
 	for i := 0; i < 100; i++ {
-		n.observeRTT(peer, 10*time.Millisecond)
+		n.observeRTT(peer, 10*time.Millisecond, true)
 	}
 	if got, _ := n.ContactRTT(7); got != 10*time.Millisecond {
 		t.Fatalf("constant samples moved the estimate to %v", got)
@@ -53,7 +53,7 @@ func TestRTTEWMAConvergence(t *testing.T) {
 	// A level shift must be tracked: after k samples the residual decays
 	// by (1−α)^k. 50 samples at α=1/8 leave < 0.1% of the 40ms step.
 	for i := 0; i < 50; i++ {
-		n.observeRTT(peer, 50*time.Millisecond)
+		n.observeRTT(peer, 50*time.Millisecond, true)
 	}
 	got, _ := n.ContactRTT(7)
 	if math.Abs(float64(got-50*time.Millisecond)) > float64(time.Millisecond) {
@@ -85,7 +85,7 @@ func TestRTTEstimatorFollowsRFC6298(t *testing.T) {
 		{us(40000), 12000, 10707.03125, 54828.125}, // |8000−40000| = 32000
 	}
 	for i, st := range steps {
-		n.observeRTT(peer, st.sample)
+		n.observeRTT(peer, st.sample, true)
 		e, ok := n.rttAt(peer.Addr)
 		if !ok {
 			t.Fatalf("step %d: no estimate at %s", i, peer.Addr)
@@ -107,13 +107,13 @@ func TestRTTEstimatorFollowsRFC6298(t *testing.T) {
 		}
 	}
 	info := n.ContactRTTs()
-	if len(info) != 1 || info[0].RTTVar != time.Duration(n.rtt[5].rttvar) || info[0].Samples != uint64(len(steps)) {
+	if len(info) != 1 || info[0].RTTVar != time.Duration(n.contacts[5].rtt.rttvar) || info[0].Samples != uint64(len(steps)) {
 		t.Fatalf("snapshot %+v does not carry the estimate", info)
 	}
 	// On a 50 µs link srtt + 4·rttvar is 150 µs, and rtoMin is what
 	// keeps the hedge from racing the scheduler.
 	fast := wire.Contact{ID: 6, Addr: "mem/6"}
-	n.observeRTT(fast, 50*time.Microsecond)
+	n.observeRTT(fast, 50*time.Microsecond, true)
 	if rto, _ := n.rtoAt(fast.Addr); rto != rtoMin {
 		t.Fatalf("50µs link: rto %v, want rtoMin %v", rto, rtoMin)
 	}
@@ -124,7 +124,7 @@ func TestRTTEstimatorFollowsRFC6298(t *testing.T) {
 // owner's, and the index maps it back to the owner's estimate.
 func TestRTTResolvedByAddress(t *testing.T) {
 	n := newRTTNode(t)
-	n.observeRTT(wire.Contact{ID: 7, Addr: "mem/7"}, 3*time.Millisecond)
+	n.observeRTT(wire.Contact{ID: 7, Addr: "mem/7"}, 3*time.Millisecond, true)
 	if d, ok := n.srttAt("mem/7"); !ok || d != 3*time.Millisecond {
 		t.Fatalf("srtt at the owner's address: %v, %t; want 3ms", d, ok)
 	}
@@ -148,9 +148,9 @@ func TestRTTEWMASmoothsOutliers(t *testing.T) {
 	n := newRTTNode(t)
 	peer := wire.Contact{ID: 9, Addr: "mem/9"}
 	for i := 0; i < 30; i++ {
-		n.observeRTT(peer, 5*time.Millisecond)
+		n.observeRTT(peer, 5*time.Millisecond, true)
 	}
-	n.observeRTT(peer, 500*time.Millisecond) // one GC-pause-shaped freak
+	n.observeRTT(peer, 500*time.Millisecond, true) // one GC-pause-shaped freak
 	got, _ := n.ContactRTT(9)
 	want := time.Duration(float64(5*time.Millisecond) + rttAlpha*float64(495*time.Millisecond))
 	if math.Abs(float64(got-want)) > float64(100*time.Microsecond) {
@@ -160,10 +160,10 @@ func TestRTTEWMASmoothsOutliers(t *testing.T) {
 
 func TestRTTSampleHygiene(t *testing.T) {
 	n := newRTTNode(t)
-	n.observeRTT(wire.Contact{}, 5*time.Millisecond)    // zero contact
-	n.observeRTT(n.self, 5*time.Millisecond)            // self
-	n.observeRTT(wire.Contact{ID: 3, Addr: "mem/3"}, 0) // non-positive
-	n.observeRTT(wire.Contact{ID: 3, Addr: "mem/3"}, -4*time.Millisecond)
+	n.observeRTT(wire.Contact{}, 5*time.Millisecond, true)    // zero contact
+	n.observeRTT(n.self, 5*time.Millisecond, true)            // self
+	n.observeRTT(wire.Contact{ID: 3, Addr: "mem/3"}, 0, true) // non-positive
+	n.observeRTT(wire.Contact{ID: 3, Addr: "mem/3"}, -4*time.Millisecond, true)
 	if got := n.ContactRTTs(); len(got) != 0 {
 		t.Fatalf("bad samples were tracked: %+v", got)
 	}
@@ -177,7 +177,7 @@ func TestRTTSampleHygiene(t *testing.T) {
 func TestRTTDecaysWithContactEviction(t *testing.T) {
 	n := newRTTNode(t)
 	peer := wire.Contact{ID: 11, Addr: "mem/11"}
-	n.observeRTT(peer, 8*time.Millisecond)
+	n.observeRTT(peer, 8*time.Millisecond, true)
 	if _, ok := n.ContactRTT(11); !ok {
 		t.Fatal("estimate missing before eviction")
 	}
@@ -203,7 +203,7 @@ func TestRTTDecaysWithContactEviction(t *testing.T) {
 	}
 	n.addrMu.RLock()
 	_, indexed := n.byAddr["mem/11-new"]
-	_, estimated := n.rtt[11]
+	_, estimated := n.contacts[11]
 	n.addrMu.RUnlock()
 	if indexed || estimated {
 		t.Fatalf("forgetAddr left the index entry (%t) or the estimate (%t) behind", indexed, estimated)
@@ -217,7 +217,7 @@ func TestRTTDecaysWithContactEviction(t *testing.T) {
 func TestContactRTTsSnapshot(t *testing.T) {
 	n := newRTTNode(t)
 	for _, x := range []id.ID{40, 10, 30} {
-		n.observeRTT(wire.Contact{ID: x, Addr: fmt.Sprintf("mem/%d", x)}, time.Duration(x)*time.Millisecond)
+		n.observeRTT(wire.Contact{ID: x, Addr: fmt.Sprintf("mem/%d", x)}, time.Duration(x)*time.Millisecond, true)
 	}
 	got := n.ContactRTTs()
 	if len(got) != 3 {

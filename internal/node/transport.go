@@ -46,12 +46,12 @@ type transport struct {
 	inflight map[uint64]*waiter
 	nextID   atomic.Uint64
 
-	// onRTT, when set before start, receives one RTT sample per
-	// completed RPC attempt: the elapsed time between an attempt's
-	// datagram going out and its correlated response arriving,
-	// attributed to the responder's contact. Retried attempts measure
-	// from their own send, so a retry cannot inflate the sample.
-	onRTT func(from wire.Contact, sample time.Duration)
+	// onReply, when set before start, receives every correlated
+	// response with one RTT sample: the elapsed time between the
+	// attempt's datagram going out and the response arriving. Retried
+	// attempts measure from their own send, so a retry cannot inflate
+	// the sample.
+	onReply func(resp *wire.Message, sample time.Duration)
 
 	done   chan struct{}
 	closed atomic.Bool
@@ -264,8 +264,8 @@ func (t *transport) callCancel(addr string, req *wire.Message, timeout time.Dura
 			if resp.Type != want {
 				return nil, fmt.Errorf("node: rpc %v to %s: got %v response", req.Type, addr, resp.Type)
 			}
-			if t.onRTT != nil {
-				t.onRTT(resp.From, time.Since(sentAt))
+			if t.onReply != nil {
+				t.onReply(resp, time.Since(sentAt))
 			}
 			return resp, nil
 		case <-w.timer.C:

@@ -55,8 +55,33 @@ func (e *engine) quiesce() {
 	if err := e.clock.WaitUntil(e.o.SettleSteps, e.latencySaneCheck); err != nil {
 		e.violate("latency-sane", "%v", err)
 	}
+	if err := e.ownerCheck(); err != nil {
+		e.violate("wrong-owner", "%v", err)
+	}
 	e.countStranded()
 	e.o.Logf("soak: window %d done at step %d", e.v.Windows, e.clock.Steps())
+}
+
+// ownerCheck resolves every key of the universe once, from live nodes
+// in turn, and requires the live membership's oracle owner: on a
+// converged, quiet overlay a lookup has no excuse for another answer —
+// a node that lost its successors and answers as a ring of one would
+// give one. A lookup that fails is the op-failure count's business.
+// One-shot, not polled: a wrong answer after the window has settled is
+// already the violation.
+func (e *engine) ownerCheck() error {
+	for i, k := range e.keys {
+		src := e.live[i%len(e.live)]
+		owner, _, err := src.FindSuccessor(k)
+		if err != nil {
+			continue
+		}
+		if want := e.oracleOwner(k); owner.ID != want {
+			e.v.WrongOwner++
+			return fmt.Errorf("node %d resolved key %d to %d, owner is %d", src.ID(), k, owner.ID, want)
+		}
+	}
+	return nil
 }
 
 // convergeCheck compares every live node's routing state against the

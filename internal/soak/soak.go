@@ -139,6 +139,17 @@ var convergeChecks = map[string]func(space id.Space, nodes []*node.Node, half in
 	},
 }
 
+// owners mirrors convergeChecks with each protocol's ownership oracle:
+// the member responsible for a key, given the live membership in ring
+// order.
+var owners = map[string]func(space id.Space, ring []id.ID, key id.ID) id.ID{
+	"chord":  func(_ id.Space, ring []id.ID, key id.ID) id.ID { return cluster.Owner(ring, key) },
+	"pastry": cluster.OwnerPastry,
+	"kademlia": func(_ id.Space, ring []id.ID, key id.ID) id.ID {
+		return cluster.OwnerKademlia(ring, key)
+	},
+}
+
 // ringFactories mirrors convergeChecks for node construction.
 var ringFactories = map[string]ring.Factory{
 	"chord":    chordring.New,
@@ -175,6 +186,10 @@ type Verdict struct {
 	GetLarges  int `json:"get_larges"`
 	Lookups    int `json:"lookups"`
 	OpFailures int `json:"op_failures"`
+	// WrongOwner counts lookups answered with an owner other than the
+	// live membership's oracle owner. Under churn and partitions that is
+	// the network in motion; in a quiescent window it is a violation.
+	WrongOwner int `json:"wrong_owner"`
 	Joins      int `json:"joins"`
 	Leaves     int `json:"leaves"`
 	Crashes    int `json:"crashes"`
@@ -568,13 +583,21 @@ func (e *engine) doLookup(ev Event) {
 	src := e.pickLive(ev.Src)
 	k := e.keys[ev.Key]
 	begin := time.Now()
-	_, hops, err := src.Lookup(k)
+	owner, hops, err := src.Lookup(k)
 	if err != nil {
 		e.v.OpFailures++
 		return
 	}
 	e.observeOp(hops, time.Since(begin))
 	e.v.Lookups++
+	if owner.ID != e.oracleOwner(k) {
+		e.v.WrongOwner++
+	}
+}
+
+// oracleOwner is the member of the live membership responsible for k.
+func (e *engine) oracleOwner(k id.ID) id.ID {
+	return owners[e.o.Proto](e.space, cluster.RingOf(e.live), k)
 }
 
 // Large-object workload geometry: a small chunk size keeps objects
