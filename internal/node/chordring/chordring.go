@@ -33,6 +33,11 @@ type Ring struct {
 	maxSucc int
 	pred    wire.Contact
 	hasPred bool
+	// notifiers holds, by id, the nodes that notified this node or asked
+	// it for its predecessor in the current (0) and the previous (1)
+	// stabilize round: each takes this node for its successor. Stabilize
+	// rotates the generations.
+	notifiers [2]map[id.ID]wire.Contact
 
 	fingers   []wire.Contact // fingers[i] covers (self+2^i, self+2^{i+1}]
 	hasFinger []bool
@@ -74,8 +79,20 @@ func (r *Ring) Protocol() string { return "chord" }
 // Join enters the overlay through a peer listening at bootstrap: an
 // iterative find-successor for the node's own id yields its successor;
 // stabilization then integrates the node into the ring, as in the Chord
-// paper's join.
+// paper's join. The joiner notifies its successor at once, so that a
+// node many others join through at the same time knows every one of
+// them before the first stabilize round asks it for a closer successor.
 func (r *Ring) Join(bootstrap string) error {
+	if err := r.join(bootstrap); err != nil {
+		return err
+	}
+	if s := r.successor(); s.ID != r.self.ID {
+		r.h.Call(s.Addr, &wire.Message{Type: wire.TNotify}) // best effort: Stabilize notifies again
+	}
+	return nil
+}
+
+func (r *Ring) join(bootstrap string) error {
 	cur := bootstrap
 	for hops := 0; hops <= r.maxHops; hops++ {
 		resp, err := r.h.Call(cur, &wire.Message{Type: wire.TFindSucc, Target: r.self.ID})
@@ -289,12 +306,14 @@ func (r *Ring) Responsible() (func(id.ID) bool, bool) {
 	return nil, false
 }
 
-// HandleRequest answers the Chord maintenance RPCs.
+// HandleRequest answers the Chord maintenance RPCs. A get-pred answer
+// names the recent notifier nearest clockwise past the requester, and
+// the predecessor when none lies between the two (predHint).
 func (r *Ring) HandleRequest(m *wire.Message, resp *wire.Message) bool {
 	switch m.Type {
 	case wire.TGetPred:
 		resp.Type = wire.TGetPredResp
-		resp.Pred, resp.HasPred = r.Predecessor()
+		resp.Pred, resp.HasPred = r.predHint(m.From)
 		succs := r.succList()
 		if len(succs) > wire.MaxSuccs {
 			succs = succs[:wire.MaxSuccs]
@@ -309,35 +328,56 @@ func (r *Ring) HandleRequest(m *wire.Message, resp *wire.Message) bool {
 	return true
 }
 
-// Stabilize runs one maintenance round: refresh the successor (adopting
-// its predecessor when that node sits between and is alive), notify it,
-// rebuild the successor list from its list, and check the predecessor's
-// liveness. Both checks go through Host.Alive, so a predecessor that
-// notified this node within the round costs no ping: the notify is a
-// request, and the runtime marked it heard.
+// Stabilize runs one maintenance round: adopt the nearest recent
+// notifier between this node and its successor (on a ring of one, any
+// notifier, else the predecessor); ask the successor for its
+// predecessor and, while the answer names a closer live node, adopt it
+// and ask it in turn, at most NeighborListLen nodes a round; notify the
+// successor so found, rebuild the successor list from the last answer's
+// list, and check the predecessor's liveness. Every adoption and the
+// predecessor check go through Host.Alive, so a node that notified
+// this one within the round costs no ping: the notify is a request,
+// and the runtime marked it heard. Each round also ages the notifier
+// set by one generation, so a notifier is at most two rounds old. In
+// steady state the only notifier is the predecessor, which never lies
+// between this node and its successor, and the successor's answer is
+// this node: the round sends one get-pred and one notify, as before.
 func (r *Ring) Stabilize() {
-	s := r.successor()
+	r.mu.Lock()
+	s := r.succs[0]
+	near, ok := r.nearestNotifierLocked(r.self.ID, s.ID)
+	if !ok && s.ID == r.self.ID && r.hasPred && r.pred.ID != r.self.ID {
+		near, ok = r.pred, true
+	}
+	r.notifiers[0], r.notifiers[1] = r.notifiers[1], r.notifiers[0]
+	clear(r.notifiers[0])
+	r.mu.Unlock()
+	if ok && r.h.Alive(near.Addr) {
+		r.adoptSuccessor(near)
+		s = near
+	}
 	if s.ID == r.self.ID {
-		// Ring of one: adopt any known predecessor as successor.
-		if p, ok := r.Predecessor(); ok && p.ID != r.self.ID {
-			r.adoptSuccessor(p)
-		}
-		return
+		return // ring of one, and nobody to adopt
 	}
-	resp, err := r.h.Call(s.Addr, &wire.Message{Type: wire.TGetPred})
-	if err != nil {
-		r.dropSuccessor(s.ID)
-		return
-	}
+	var resp *wire.Message
 	cand := s
-	if resp.HasPred && resp.Pred.ID != r.self.ID && resp.Pred.Addr != "" &&
-		r.space.Between(resp.Pred.ID, r.self.ID, s.ID) {
-		// A closer successor exists — verify it lives before
-		// adopting it.
-		if r.h.Alive(resp.Pred.Addr) {
-			r.adoptSuccessor(resp.Pred)
-			cand = resp.Pred
+	for asked := 1; ; asked++ {
+		var err error
+		if resp, err = r.h.Call(s.Addr, &wire.Message{Type: wire.TGetPred}); err != nil {
+			r.dropSuccessor(s.ID)
+			return
 		}
+		p := resp.Pred
+		if !resp.HasPred || p.ID == r.self.ID || p.Addr == "" ||
+			!r.space.Between(p.ID, r.self.ID, s.ID) || !r.h.Alive(p.Addr) {
+			break
+		}
+		r.adoptSuccessor(p)
+		cand = p
+		if asked >= r.maxSucc {
+			break
+		}
+		s = p
 	}
 	if _, err := r.h.Call(cand.Addr, &wire.Message{Type: wire.TNotify}); err != nil {
 		r.dropSuccessor(cand.ID)
@@ -357,6 +397,7 @@ func (r *Ring) Stabilize() {
 		if r.pred.ID == p.ID { // a notify may have replaced it meanwhile
 			r.pred, r.hasPred = wire.Contact{}, false
 		}
+		r.forgetNotifierLocked(p.ID)
 		r.mu.Unlock()
 	}
 }
@@ -408,6 +449,9 @@ func (r *Ring) Heal(live wire.Contact) {
 func (r *Ring) DropPeer(x id.ID) {
 	r.RemoveAux(x)
 	r.dropSuccessor(x)
+	r.mu.Lock()
+	r.forgetNotifierLocked(x)
+	r.mu.Unlock()
 }
 
 // Successors returns a copy of the successor list.
@@ -555,19 +599,76 @@ func (r *Ring) dropSuccessor(dead id.ID) {
 	r.succs = out
 }
 
-// notify processes a notify(c): adopt c as predecessor if there is none
-// or c sits between the current predecessor and self.
+// notify processes a notify(c): record c as a notifier of this round,
+// and adopt it as predecessor if there is none or c sits between the
+// current predecessor and self.
 func (r *Ring) notify(c wire.Contact) {
 	if c.ID == r.self.ID || c.Addr == "" {
 		return
 	}
 	r.mu.Lock()
+	r.noteNotifierLocked(c)
 	if !r.hasPred || r.space.Between(c.ID, r.pred.ID, r.self.ID) {
 		r.pred = c
 		r.hasPred = true
 	}
 	r.mu.Unlock()
 	r.h.Note(c)
+}
+
+// predHint answers a get-pred from x and records x as a notifier: a
+// get-pred comes from a node that takes this one for its successor, as
+// a notify does. The answer is the recent notifier nearest clockwise
+// past x (nearestNotifierLocked), or the predecessor when none lies
+// between x and self. A live node between x and this node is a closer
+// successor for x than this node. In a join burst every joiner asks the
+// bootstrap node, which then points each joiner at its true successor
+// in one answer; in steady state the only notifier is the requester
+// itself, and the answer is the predecessor.
+func (r *Ring) predHint(x wire.Contact) (wire.Contact, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.noteNotifierLocked(x)
+	if c, ok := r.nearestNotifierLocked(x.ID, r.self.ID); ok {
+		return c, true
+	}
+	return r.pred, r.hasPred
+}
+
+// nearestNotifierLocked returns the node that notified this one within
+// the last two stabilize rounds and lies nearest clockwise past x in
+// (x, end); end == x stands for the whole ring but x. The caller holds
+// mu.
+func (r *Ring) nearestNotifierLocked(x, end id.ID) (wire.Contact, bool) {
+	var best wire.Contact
+	found := false
+	for _, gen := range r.notifiers {
+		for _, c := range gen {
+			if r.space.Between(c.ID, x, end) && (!found || r.space.Gap(x, c.ID) < r.space.Gap(x, best.ID)) {
+				best, found = c, true
+			}
+		}
+	}
+	return best, found
+}
+
+// noteNotifierLocked records c in this round's notifier set, unless c
+// is this node or has no address. The caller holds mu.
+func (r *Ring) noteNotifierLocked(c wire.Contact) {
+	if c.ID == r.self.ID || c.Addr == "" {
+		return
+	}
+	if r.notifiers[0] == nil {
+		r.notifiers[0] = make(map[id.ID]wire.Contact)
+	}
+	r.notifiers[0][c.ID] = c
+}
+
+// forgetNotifierLocked drops a node found dead from the notifier set,
+// so no get-pred answer names it. The caller holds mu.
+func (r *Ring) forgetNotifierLocked(x id.ID) {
+	delete(r.notifiers[0], x)
+	delete(r.notifiers[1], x)
 }
 
 // setFinger installs (or clears, when ok is false) finger i.

@@ -42,8 +42,10 @@
 package kadring
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -451,22 +453,30 @@ func (r *Ring) HandleRequest(m *wire.Message, resp *wire.Message) bool {
 
 // closestLocked returns up to wire.MaxClosest bucket contacts nearest
 // to target (excluding the requester), re-sorted into the codec's
-// canonical strictly-ascending id order.
+// canonical strictly-ascending id order. It runs on the read loop for
+// every FindNode and FindValue miss, so it selects in one bounded pass
+// (the nearest contact heads a ring.TopK) instead of sorting the table.
 func (r *Ring) closestLocked(target id.ID, requester id.ID) []wire.Contact {
-	var all []wire.Contact
+	var head wire.Contact
 	r.eachContact(func(c wire.Contact) {
-		if c.ID != requester && c.Addr != "" {
-			all = append(all, c)
+		if c.ID != requester && c.Addr != "" &&
+			(head.Addr == "" || r.xorDist(c.ID, target) < r.xorDist(head.ID, target)) {
+			head = c
 		}
 	})
-	sort.Slice(all, func(i, j int) bool {
-		return r.xorDist(all[i].ID, target) < r.xorDist(all[j].ID, target)
-	})
-	if len(all) > wire.MaxClosest {
-		all = all[:wire.MaxClosest]
+	if head.Addr == "" {
+		return nil
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
-	return all
+	var top ring.TopK
+	top.Init(head, requester, wire.MaxClosest)
+	r.eachContact(func(c wire.Contact) {
+		if c.Addr != "" {
+			top.Add(c, 0, r.xorDist(c.ID, target))
+		}
+	})
+	out := top.List()
+	slices.SortFunc(out, func(a, b wire.Contact) int { return cmp.Compare(a.ID, b.ID) })
+	return out
 }
 
 // Stabilize runs one maintenance round: bounded check-before-evict

@@ -268,7 +268,9 @@ type Message struct {
 	Next Contact
 	// HasPred reports whether Pred is meaningful (TGetPredResp).
 	HasPred bool
-	// Pred is the callee's predecessor (TGetPredResp).
+	// Pred is a node between the requester and the callee that
+	// recently took the callee for its successor, else the callee's
+	// predecessor (TGetPredResp).
 	Pred Contact
 	// Succs is the callee's successor list, nearest first
 	// (TGetPredResp).
