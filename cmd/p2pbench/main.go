@@ -75,7 +75,20 @@ func main() {
 		return
 	}
 	if *live {
-		runLive(*proto, *fixedN, *seed, *bits, *aux, *quick, *out, *compare, *cpuprofile, *memprofile)
+		n := *fixedN
+		if n == 0 && *quick {
+			n = 128
+		}
+		runLive(livebench.Options{
+			Proto:    *proto,
+			N:        n,
+			Seed:     *seed,
+			Bits:     *bits,
+			AuxCount: *aux,
+			Logf: func(format string, args ...any) {
+				fmt.Fprintf(os.Stderr, format+"\n", args...)
+			},
+		}, *out, *compare, *cpuprofile, *memprofile)
 		return
 	}
 
@@ -166,19 +179,13 @@ func main() {
 	}
 }
 
-// runLive executes the live benchmark for the selected geometries and
-// handles output, schema self-validation, baseline comparison, and
-// profiling.
-func runLive(proto string, n int, seed int64, bits uint, aux int, quick bool, out, compare, cpuprofile, memprofile string) {
+// runLive executes the live benchmark for o's geometry, or every
+// geometry when o.Proto is "all", and handles output, schema
+// self-validation, baseline comparison, and profiling.
+func runLive(o livebench.Options, out, compare, cpuprofile, memprofile string) {
 	protos := livebench.Protos
-	if proto != "all" {
-		protos = []string{proto}
-	}
-	if n == 0 {
-		n = 1024
-		if quick {
-			n = 128
-		}
+	if o.Proto != "all" {
+		protos = []string{o.Proto}
 	}
 	if cpuprofile != "" {
 		f, err := os.Create(cpuprofile)
@@ -193,16 +200,8 @@ func runLive(proto string, n int, seed int64, bits uint, aux int, quick bool, ou
 	}
 	var runs []livebench.Result
 	for _, p := range protos {
-		r, err := livebench.Run(livebench.Options{
-			Proto:    p,
-			N:        n,
-			Seed:     seed,
-			Bits:     bits,
-			AuxCount: aux,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			},
-		})
+		o.Proto = p
+		r, err := livebench.Run(o)
 		if err != nil {
 			fatalf("%v", err)
 		}

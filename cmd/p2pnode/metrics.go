@@ -106,7 +106,6 @@ type storeStats struct {
 	ItemsOwned   int    `json:"items_owned"`
 	ItemsReplica int    `json:"items_replica"`
 	ItemsCached  int    `json:"items_cached"`
-	Shards       int    `json:"shards"`
 	PutsServed   uint64 `json:"puts_served"`
 	GetsServed   uint64 `json:"gets_served"`
 	ReplicasIn   uint64 `json:"replicas_in"`
@@ -173,7 +172,6 @@ func payloadFor(n *node.Node) metricsPayload {
 			ItemsOwned:    m.ItemsOwned,
 			ItemsReplica:  m.ItemsReplica,
 			ItemsCached:   m.ItemsCached,
-			Shards:        m.StoreShards,
 			PutsServed:    m.PutsServed,
 			GetsServed:    m.GetsServed,
 			ReplicasIn:    m.ReplicasIn,

@@ -8,32 +8,15 @@ import (
 	"time"
 )
 
-// Schema identifies the BENCH_live.json document format. Bump the
-// version on any incompatible field change and teach Validate both.
-const (
-	// Schema is the current format: v4 adds the WAN latency phase — the
-	// converged overlay on a seeded coordinate WAN topology, with
-	// hop-greedy and QoS-aware auxiliary selection arms (wall-latency
-	// p50/p99 each), the QoS arm repeated under exponential-lifetime
-	// churn at the paper's session rate, and a flash-crowd arm before
-	// and after one aux adaptation. At full scale (nodes ≥ 1024) the
-	// headline claim is part of the schema: across the document's
-	// full-scale runs, QoS p99 must beat hop-greedy p99 on at least two
-	// geometries.
-	Schema = "peercache-livebench/v4"
-	// SchemaV3 is the previous format — replication data plane
-	// (anti-entropy byte rates, repl_reduction, the hot-key read phase)
-	// — still loadable so committed trajectories and older tooling keep
-	// working; WAN fields are not enforced on it.
-	SchemaV3 = "peercache-livebench/v3"
-	// SchemaV2 added the streaming phase, fix_fingers_batch, and the
-	// stranded_keys-at-zero gate; replication fields are not enforced on
-	// it.
-	SchemaV2 = "peercache-livebench/v2"
-	// SchemaV1 is the original format; stream fields and the stranded
-	// gate are not enforced on it either.
-	SchemaV1 = "peercache-livebench/v1"
-)
+// Schema identifies the BENCH_live.json document format, the only one
+// Load accepts: the configuration, the Zipf lookup workload, idle
+// maintenance, the streaming phase, the replication data plane
+// (anti-entropy byte rates, repl_reduction, the hot-key read arms) and
+// the WAN latency phase (hop-greedy and QoS-aware aux arms, the QoS arm
+// under paper-rate churn, a flash crowd before and after one aux
+// adaptation). Bump the version on any incompatible field change and
+// regenerate the committed document.
+const Schema = "peercache-livebench/v5"
 
 // File is the persisted BENCH_live.json document: one run per geometry
 // from a single generation pass, plus provenance.
@@ -85,11 +68,8 @@ func Load(path string) (*File, error) {
 // a field that silently stops being populated fails the build instead
 // of committing zeros into the trajectory.
 func (f *File) Validate() error {
-	v4 := f.Schema == Schema
-	v3 := v4 || f.Schema == SchemaV3
-	v2 := v3 || f.Schema == SchemaV2
-	if !v2 && f.Schema != SchemaV1 {
-		return fmt.Errorf("schema %q, want %q (or legacy %q, %q, %q)", f.Schema, Schema, SchemaV3, SchemaV2, SchemaV1)
+	if f.Schema != Schema {
+		return fmt.Errorf("schema %q, want %q", f.Schema, Schema)
 	}
 	if _, err := time.Parse(time.RFC3339, f.GeneratedAt); err != nil {
 		return fmt.Errorf("generated_at: %w", err)
@@ -129,52 +109,48 @@ func (f *File) Validate() error {
 			"bytes_per_sec":               r.BytesPerSec,
 			"maint_msgs_per_sec_per_node": r.MaintMsgsPerSecPerNode,
 			"wall_ms":                     float64(r.WallMS),
-		}
-		if v2 {
-			pos["fix_fingers_batch"] = float64(r.FixFingersBatch)
-			pos["stream_object_bytes"] = float64(r.StreamObjectBytes)
-			pos["stream_chunk_size"] = float64(r.StreamChunkSize)
-			pos["stream_chunks"] = float64(r.StreamChunks)
-			pos["stream_reads"] = float64(r.StreamReads)
-			pos["stream_ttfb_us"] = r.StreamTTFBUS
-			pos["stream_mbps"] = r.StreamMBPS
-		}
-		if v3 {
-			pos["replicate_every_ms"] = float64(r.ReplicateEveryMS)
-			pos["store_shards"] = float64(r.StoreShards)
-			pos["repl_bytes_per_sec"] = r.ReplBytesPerSec
-			pos["repl_full_push_bytes_per_sec"] = r.ReplFullPushBytesPerSec
-			pos["repl_reduction"] = r.ReplReduction
-			pos["hot_reads"] = float64(r.HotReads)
-			pos["hot_degraded_reads"] = float64(r.HotDegradedReads)
-			pos["hot_owner_ops_per_sec"] = r.HotOwnerOpsPerSec
-			pos["hot_any_ops_per_sec"] = r.HotAnyOpsPerSec
-			pos["hot_degraded_ops_per_sec"] = r.HotDegradedOpsPerSec
+
+			"fix_fingers_batch":   float64(r.FixFingersBatch),
+			"stream_object_bytes": float64(r.StreamObjectBytes),
+			"stream_chunk_size":   float64(r.StreamChunkSize),
+			"stream_chunks":       float64(r.StreamChunks),
+			"stream_reads":        float64(r.StreamReads),
+			"stream_ttfb_us":      r.StreamTTFBUS,
+			"stream_mbps":         r.StreamMBPS,
+
+			"replicate_every_ms":           float64(r.ReplicateEveryMS),
+			"repl_bytes_per_sec":           r.ReplBytesPerSec,
+			"repl_full_push_bytes_per_sec": r.ReplFullPushBytesPerSec,
+			"repl_reduction":               r.ReplReduction,
+			"hot_reads":                    float64(r.HotReads),
+			"hot_degraded_reads":           float64(r.HotDegradedReads),
+			"hot_owner_ops_per_sec":        r.HotOwnerOpsPerSec,
+			"hot_any_ops_per_sec":          r.HotAnyOpsPerSec,
+			"hot_degraded_ops_per_sec":     r.HotDegradedOpsPerSec,
 			// The degraded arm exists to show replicas serving; a zero
 			// hit rate means the replica read path never engaged.
-			pos["replica_hit_rate"] = r.ReplicaHitRate
-		}
-		if v4 {
-			pos["wan_regions"] = float64(r.WANRegions)
-			pos["wan_scale"] = r.WANScale
-			pos["wan_sources"] = float64(r.WANSources)
-			pos["wan_hot_keys"] = float64(r.WANHotKeys)
-			pos["wan_ops"] = float64(r.WANOps)
-			pos["wan_qos_bound_ms"] = r.WANQoSBoundMS
-			pos["wan_hop_p50_us"] = r.WANHopP50US
-			pos["wan_hop_p99_us"] = r.WANHopP99US
-			pos["wan_qos_p50_us"] = r.WANQoSP50US
-			pos["wan_qos_p99_us"] = r.WANQoSP99US
-			pos["wan_churn_mean_life_ms"] = float64(r.WANChurnMeanLifeMS)
-			pos["wan_churn_p50_us"] = r.WANChurnP50US
-			pos["wan_churn_p99_us"] = r.WANChurnP99US
-			pos["wan_flash_reads"] = float64(r.WANFlashReads)
-			pos["wan_flash_p99_us"] = r.WANFlashP99US
-			pos["wan_flash_adapted_p99_us"] = r.WANFlashAdaptedP99US
+			"replica_hit_rate": r.ReplicaHitRate,
+
+			"wan_regions":              float64(r.WANRegions),
+			"wan_scale":                r.WANScale,
+			"wan_sources":              float64(r.WANSources),
+			"wan_hot_keys":             float64(r.WANHotKeys),
+			"wan_ops":                  float64(r.WANOps),
+			"wan_qos_bound_ms":         r.WANQoSBoundMS,
+			"wan_hop_p50_us":           r.WANHopP50US,
+			"wan_hop_p99_us":           r.WANHopP99US,
+			"wan_qos_p50_us":           r.WANQoSP50US,
+			"wan_qos_p99_us":           r.WANQoSP99US,
+			"wan_churn_mean_life_ms":   float64(r.WANChurnMeanLifeMS),
+			"wan_churn_p50_us":         r.WANChurnP50US,
+			"wan_churn_p99_us":         r.WANChurnP99US,
+			"wan_flash_reads":          float64(r.WANFlashReads),
+			"wan_flash_p99_us":         r.WANFlashP99US,
+			"wan_flash_adapted_p99_us": r.WANFlashAdaptedP99US,
 			// A run where the constrained optimizer never decided a
 			// selection measured nothing: the QoS arm was hop-greedy with
 			// extra steps.
-			pos["wan_qos_selects"] = float64(r.WANQoSSelects)
+			"wan_qos_selects": float64(r.WANQoSSelects),
 		}
 		for field, v := range pos {
 			if v <= 0 {
@@ -188,39 +164,34 @@ func (f *File) Validate() error {
 			"lookup_failures": float64(r.LookupFailures),
 			"stranded_keys":   float64(r.StrandedKeys),
 			"converge_ms":     float64(r.ConvergeMS),
-		}
-		if v2 {
-			nonNeg["stream_prefetch"] = float64(r.StreamPrefetch)
-		}
-		if v3 {
-			nonNeg["repl_fallbacks"] = float64(r.ReplFallbacks)
-			nonNeg["hot_failures"] = float64(r.HotFailures)
-		}
-		if v4 {
-			nonNeg["wan_qos_infeasible"] = float64(r.WANQoSInfeasible)
-			nonNeg["wan_failures"] = float64(r.WANFailures)
-			nonNeg["wan_churn_restarts"] = float64(r.WANChurnRestarts)
-			nonNeg["wan_churn_failures"] = float64(r.WANChurnFailures)
+
+			"stream_prefetch":    float64(r.StreamPrefetch),
+			"repl_fallbacks":     float64(r.ReplFallbacks),
+			"hot_failures":       float64(r.HotFailures),
+			"wan_qos_infeasible": float64(r.WANQoSInfeasible),
+			"wan_failures":       float64(r.WANFailures),
+			"wan_churn_restarts": float64(r.WANChurnRestarts),
+			"wan_churn_failures": float64(r.WANChurnFailures),
 		}
 		for field, v := range nonNeg {
 			if v < 0 {
 				return fmt.Errorf("%s = %g, want >= 0", at(field), v)
 			}
 		}
-		// v2 promotes stranded keys from a recorded count to a failing
-		// invariant: the repair loop must have drained every one.
-		if v2 && r.StrandedKeys != 0 {
+		// Stranded keys are a failing invariant, not a recorded count:
+		// the repair loop must have drained every one.
+		if r.StrandedKeys != 0 {
 			return fmt.Errorf("%s = %d, want 0 (the repair loop must drain stranded keys)",
 				at("stranded_keys"), r.StrandedKeys)
 		}
-		// v3 makes the digest protocol's headline claim part of the
-		// schema at full scale: a committed 1024-node trajectory that
+		// The digest protocol's headline claim is part of the schema at
+		// full scale: a committed 1024-node trajectory that
 		// stops showing the ≥5x anti-entropy reduction fails here
 		// instead of silently recording the regression. Small-n quick
 		// runs (fewer owned items per node, so per-message overhead
 		// weighs more) are exempt from the absolute floor; Compare
 		// still gates them against the baseline's ratio.
-		if v3 && r.Nodes >= 1024 && r.ReplReduction < 5 {
+		if r.Nodes >= 1024 && r.ReplReduction < 5 {
 			return fmt.Errorf("%s = %.2f, want >= 5 at n >= 1024 (digest anti-entropy reduction)",
 				at("repl_reduction"), r.ReplReduction)
 		}
@@ -230,43 +201,39 @@ func (f *File) Validate() error {
 		if r.AuxHitRate > 1 {
 			return fmt.Errorf("%s = %g, want <= 1", at("aux_hit_rate"), r.AuxHitRate)
 		}
-		if v4 {
-			if r.WANHopP99US < r.WANHopP50US {
-				return fmt.Errorf("%s", at("wan_hop_p99_us below wan_hop_p50_us"))
-			}
-			if r.WANQoSP99US < r.WANQoSP50US {
-				return fmt.Errorf("%s", at("wan_qos_p99_us below wan_qos_p50_us"))
-			}
-			if r.WANChurnP99US < r.WANChurnP50US {
-				return fmt.Errorf("%s", at("wan_churn_p99_us below wan_churn_p50_us"))
-			}
-			// At the paper's session rate a full-scale churn arm sees
-			// about one departure per second; a zero-restart arm means
-			// the churn machinery silently stopped.
-			if r.Nodes >= 1024 && r.WANChurnRestarts == 0 {
-				return fmt.Errorf("%s = 0, want >= 1 at n >= 1024 (churn arm never churned)", at("wan_churn_restarts"))
-			}
+		if r.WANHopP99US < r.WANHopP50US {
+			return fmt.Errorf("%s", at("wan_hop_p99_us below wan_hop_p50_us"))
+		}
+		if r.WANQoSP99US < r.WANQoSP50US {
+			return fmt.Errorf("%s", at("wan_qos_p99_us below wan_qos_p50_us"))
+		}
+		if r.WANChurnP99US < r.WANChurnP50US {
+			return fmt.Errorf("%s", at("wan_churn_p99_us below wan_churn_p50_us"))
+		}
+		// At the paper's session rate a full-scale churn arm sees about
+		// one departure per second; a zero-restart arm means the churn
+		// machinery silently stopped.
+		if r.Nodes >= 1024 && r.WANChurnRestarts == 0 {
+			return fmt.Errorf("%s = 0, want >= 1 at n >= 1024 (churn arm never churned)", at("wan_churn_restarts"))
 		}
 	}
-	// v4's headline claim at full scale is cross-run: among the
+	// The headline claim at full scale is cross-run: among the
 	// document's full-scale geometries, latency-aware selection must
 	// beat the frequency-only baseline at the tail on at least two (all,
 	// when the document carries fewer than two).
-	if v4 {
-		fullScale, wins := 0, 0
-		for _, r := range f.Runs {
-			if r.Nodes < 1024 {
-				continue
-			}
-			fullScale++
-			if r.WANQoSP99US < r.WANHopP99US {
-				wins++
-			}
+	fullScale, wins := 0, 0
+	for _, r := range f.Runs {
+		if r.Nodes < 1024 {
+			continue
 		}
-		if need := min(2, fullScale); wins < need {
-			return fmt.Errorf("wan_qos_p99_us below wan_hop_p99_us on %d of %d full-scale runs, want >= %d (QoS selection must beat hop-greedy at the tail)",
-				wins, fullScale, need)
+		fullScale++
+		if r.WANQoSP99US < r.WANHopP99US {
+			wins++
 		}
+	}
+	if need := min(2, fullScale); wins < need {
+		return fmt.Errorf("wan_qos_p99_us below wan_hop_p99_us on %d of %d full-scale runs, want >= %d (QoS selection must beat hop-greedy at the tail)",
+			wins, fullScale, need)
 	}
 	return nil
 }
@@ -290,10 +257,9 @@ const (
 // (repl_reduction, the full-push bytes over the digest bytes actually
 // sent) above the baseline's divided by ReplTolerance, and the WAN
 // QoS-arm tail latency (wan_qos_p99_us) within P99Tolerance times it.
-// A gate is skipped when either side predates its phase (streaming v2,
-// replication v3, WAN v4). Geometries in only one side are ignored, so
-// a quick CI run (smaller n, where hops are lower anyway) still
-// compares meaningfully against the committed full-scale file.
+// Geometries in only one side are ignored, so a quick CI run (smaller
+// n, where hops are lower anyway) still compares meaningfully against
+// the committed full-scale file.
 func Compare(baseline *File, runs []Result) error {
 	base := make(map[string]Result, len(baseline.Runs))
 	for _, r := range baseline.Runs {
@@ -308,15 +274,15 @@ func Compare(baseline *File, runs []Result) error {
 			return fmt.Errorf("livebench: %s mean hops %.3f exceeds baseline %.3f by more than %.2f (n=%d vs baseline n=%d)",
 				r.Proto, r.MeanHops, b.MeanHops, HopsTolerance, r.Nodes, b.Nodes)
 		}
-		if r.StreamTTFBUS > 0 && b.StreamTTFBUS > 0 && r.StreamTTFBUS > b.StreamTTFBUS*TTFBTolerance {
+		if r.StreamTTFBUS > b.StreamTTFBUS*TTFBTolerance {
 			return fmt.Errorf("livebench: %s stream ttfb %.0fus exceeds %dx the baseline %.0fus (n=%d vs baseline n=%d)",
 				r.Proto, r.StreamTTFBUS, TTFBTolerance, b.StreamTTFBUS, r.Nodes, b.Nodes)
 		}
-		if r.ReplReduction > 0 && b.ReplReduction > 0 && r.ReplReduction < b.ReplReduction/ReplTolerance {
+		if r.ReplReduction < b.ReplReduction/ReplTolerance {
 			return fmt.Errorf("livebench: %s anti-entropy reduction %.2fx below 1/%d of the baseline %.2fx (n=%d vs baseline n=%d)",
 				r.Proto, r.ReplReduction, ReplTolerance, b.ReplReduction, r.Nodes, b.Nodes)
 		}
-		if r.WANQoSP99US > 0 && b.WANQoSP99US > 0 && r.WANQoSP99US > b.WANQoSP99US*P99Tolerance {
+		if r.WANQoSP99US > b.WANQoSP99US*P99Tolerance {
 			return fmt.Errorf("livebench: %s WAN QoS p99 %.0fus exceeds %dx the baseline %.0fus (n=%d vs baseline n=%d)",
 				r.Proto, r.WANQoSP99US, P99Tolerance, b.WANQoSP99US, r.Nodes, b.Nodes)
 		}

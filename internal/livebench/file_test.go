@@ -22,8 +22,8 @@ func goodRun(proto string) Result {
 		MaintBytesPerSecPerNode: 1200, WallMS: 9000,
 		StreamObjectBytes: 1 << 20, StreamChunkSize: 4096, StreamChunks: 257,
 		StreamPrefetch: 2, StreamReads: 3, StreamTTFBUS: 2200, StreamMBPS: 35,
-		ReplicateEveryMS: 2000, StoreShards: 16,
-		ReplBytesPerSec: 4000, ReplFullPushBytesPerSec: 26000, ReplReduction: 6.5,
+		ReplicateEveryMS: 2000, ReplBytesPerSec: 4000,
+		ReplFullPushBytesPerSec: 26000, ReplReduction: 6.5,
 		HotReads: 512, HotDegradedReads: 64,
 		HotOwnerOpsPerSec: 3000, HotAnyOpsPerSec: 3100, HotDegradedOpsPerSec: 150,
 		ReplicaHitRate: 0.8,
@@ -73,6 +73,10 @@ func TestFileValidateRejects(t *testing.T) {
 			mutate: func(f *File) { f.Schema = "peercache-livebench/v0" },
 			want:   "schema",
 		},
+		"previous schema": {
+			mutate: func(f *File) { f.Schema = "peercache-livebench/v4" },
+			want:   "schema",
+		},
 		"bad timestamp": {
 			mutate: func(f *File) { f.GeneratedAt = "yesterday" },
 			want:   "generated_at",
@@ -109,7 +113,7 @@ func TestFileValidateRejects(t *testing.T) {
 			mutate: func(f *File) { f.Runs[0].StreamMBPS = 0 },
 			want:   "stream_mbps",
 		},
-		"stranded keys survive in v2": {
+		"stranded keys survive": {
 			mutate: func(f *File) { f.Runs[0].StrandedKeys = 3 },
 			want:   "stranded_keys",
 		},
@@ -187,108 +191,7 @@ func TestFileValidateRejects(t *testing.T) {
 	}
 }
 
-// stripRepl zeroes every v3 replication field, as a pre-digest
-// document would carry.
-func stripRepl(r *Result) {
-	r.ReplicateEveryMS, r.StoreShards = 0, 0
-	r.ReplBytesPerSec, r.ReplFullPushBytesPerSec, r.ReplReduction = 0, 0, 0
-	r.ReplFallbacks = 0
-	r.HotReads, r.HotDegradedReads, r.HotFailures = 0, 0, 0
-	r.HotOwnerOpsPerSec, r.HotAnyOpsPerSec, r.HotDegradedOpsPerSec = 0, 0, 0
-	r.ReplicaHitRate = 0
-}
-
-// stripWAN zeroes every v4 WAN-phase field, as a pre-latency-plane
-// document would carry.
-func stripWAN(r *Result) {
-	r.WANRegions, r.WANSources, r.WANHotKeys, r.WANOps = 0, 0, 0, 0
-	r.WANScale, r.WANQoSBoundMS = 0, 0
-	r.WANHopP50US, r.WANHopP99US, r.WANQoSP50US, r.WANQoSP99US = 0, 0, 0, 0
-	r.WANQoSSelects, r.WANQoSInfeasible = 0, 0
-	r.WANFailures, r.WANChurnRestarts, r.WANChurnFailures = 0, 0, 0
-	r.WANChurnMeanLifeMS = 0
-	r.WANChurnP50US, r.WANChurnP99US = 0, 0
-	r.WANFlashReads = 0
-	r.WANFlashP99US, r.WANFlashAdaptedP99US = 0, 0
-}
-
-// A legacy v1 document — no stream fields, no batch knob, stranded
-// count recorded rather than gated — must still load and validate.
-func TestFileAcceptsV1(t *testing.T) {
-	f := NewFile([]Result{goodRun("chord")})
-	f.Schema = SchemaV1
-	r := &f.Runs[0]
-	r.FixFingersBatch = 0
-	r.StreamObjectBytes, r.StreamChunkSize, r.StreamChunks = 0, 0, 0
-	r.StreamPrefetch, r.StreamReads = 0, 0
-	r.StreamTTFBUS, r.StreamMBPS = 0, 0
-	r.StrandedKeys = 2
-	stripRepl(r)
-	stripWAN(r)
-	if err := f.Validate(); err != nil {
-		t.Fatalf("v1 document rejected: %v", err)
-	}
-	path := filepath.Join(t.TempDir(), "v1.json")
-	if err := f.Write(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path); err != nil {
-		t.Fatalf("v1 document fails Load: %v", err)
-	}
-}
-
-// A legacy v2 document — streaming fields present, replication fields
-// absent — must still load and validate, with the stranded gate (a v2
-// constraint) enforced and the replication fields not.
-func TestFileAcceptsV2(t *testing.T) {
-	f := NewFile([]Result{goodRun("chord")})
-	f.Schema = SchemaV2
-	stripRepl(&f.Runs[0])
-	stripWAN(&f.Runs[0])
-	if err := f.Validate(); err != nil {
-		t.Fatalf("v2 document rejected: %v", err)
-	}
-	f.Runs[0].StrandedKeys = 1
-	if err := f.Validate(); err == nil {
-		t.Fatal("v2 document with stranded keys accepted")
-	}
-	f.Runs[0].StrandedKeys = 0
-	path := filepath.Join(t.TempDir(), "v2.json")
-	if err := f.Write(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path); err != nil {
-		t.Fatalf("v2 document fails Load: %v", err)
-	}
-}
-
-// A legacy v3 document — replication and hot-key fields present, WAN
-// fields absent — must still load and validate, with the v3 gates (the
-// full-scale reduction floor) enforced and the WAN fields not.
-func TestFileAcceptsV3(t *testing.T) {
-	f := NewFile([]Result{goodRun("chord")})
-	f.Schema = SchemaV3
-	stripWAN(&f.Runs[0])
-	if err := f.Validate(); err != nil {
-		t.Fatalf("v3 document rejected: %v", err)
-	}
-	f.Runs[0].Nodes = 1024
-	f.Runs[0].ReplReduction = 3
-	if err := f.Validate(); err == nil {
-		t.Fatal("v3 document below the full-scale reduction floor accepted")
-	}
-	f.Runs[0].Nodes = 128
-	f.Runs[0].ReplReduction = 6.5
-	path := filepath.Join(t.TempDir(), "v3.json")
-	if err := f.Write(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path); err != nil {
-		t.Fatalf("v3 document fails Load: %v", err)
-	}
-}
-
-// The cross-run full-scale gate: a v4 document whose full-scale runs do
+// The cross-run full-scale gate: a document whose full-scale runs do
 // not show QoS beating hop-greedy on at least two geometries fails, and
 // a document with a single full-scale run needs only that one.
 func TestFileQoSBeatsHopGate(t *testing.T) {
@@ -325,11 +228,10 @@ func TestFileQoSBeatsHopGate(t *testing.T) {
 	}
 }
 
-// Compare gates mean hops per geometry additively, stream TTFB
-// multiplicatively, and the anti-entropy reduction ratio against a
-// shrink factor; tolerates small regressions, skips gates when a side
-// predates the relevant phase, and ignores geometries missing from
-// either side.
+// Compare gates mean hops per geometry additively, stream TTFB and the
+// WAN QoS p99 multiplicatively, and the anti-entropy reduction ratio
+// against a shrink factor; tolerates small regressions and ignores
+// geometries missing from either side.
 func TestCompare(t *testing.T) {
 	baseline := NewFile([]Result{goodRun("chord"), goodRun("pastry")})
 
@@ -361,17 +263,8 @@ func TestCompare(t *testing.T) {
 		t.Fatal("cliff-regressed ttfb accepted")
 	}
 
-	// A v1 baseline carries no stream numbers: the TTFB gate must not
-	// fire against a zero.
-	v1 := NewFile([]Result{goodRun("chord")})
-	v1.Runs[0].StreamTTFBUS = 0
-	if err := Compare(v1, []Result{slow}); err != nil {
-		t.Fatalf("ttfb gated against a streamless baseline: %v", err)
-	}
-
 	// The anti-entropy gate: a reduction within the shrink factor of
-	// the baseline passes, below it fails, and a baseline without
-	// replication data (v2 and earlier) disables the gate.
+	// the baseline passes, below it fails.
 	lessEff := goodRun("chord")
 	lessEff.ReplReduction = baseline.Runs[0].ReplReduction / 1.5
 	if err := Compare(baseline, []Result{lessEff}); err != nil {
@@ -381,9 +274,29 @@ func TestCompare(t *testing.T) {
 	if err := Compare(baseline, []Result{lessEff}); err == nil {
 		t.Fatal("collapsed anti-entropy reduction accepted")
 	}
-	v2 := NewFile([]Result{goodRun("chord")})
-	stripRepl(&v2.Runs[0])
-	if err := Compare(v2, []Result{lessEff}); err != nil {
-		t.Fatalf("repl gated against a pre-digest baseline: %v", err)
+
+	// The WAN tail gate: a QoS p99 within the multiple of the
+	// baseline's passes, past it fails.
+	tail := goodRun("chord")
+	tail.WANQoSP99US = baseline.Runs[0].WANQoSP99US * 2
+	if err := Compare(baseline, []Result{tail}); err != nil {
+		t.Fatalf("within-tolerance wan qos p99 rejected: %v", err)
+	}
+	tail.WANQoSP99US = baseline.Runs[0].WANQoSP99US * 4
+	if err := Compare(baseline, []Result{tail}); err == nil {
+		t.Fatal("cliff-regressed wan qos p99 accepted")
+	}
+}
+
+// The committed trajectory must load at the current schema: a document
+// left behind by a schema bump fails here, not in a CI job that only
+// runs the live bench.
+func TestCommittedBenchLiveValidates(t *testing.T) {
+	f, err := Load(filepath.Join("..", "..", "BENCH_live.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Schema != Schema {
+		t.Fatalf("committed schema %q, want %q", f.Schema, Schema)
 	}
 }

@@ -12,9 +12,9 @@
 // Scale is what the harness is built around: nodes share one
 // node.BatchScheduler (a single timer heap + bounded worker pool
 // instead of four ticker goroutines each) and maintenance periods
-// default to values scaled with n, so a 1024-node overlay boots,
-// converges against the cluster package's exact oracles, and completes
-// its workload on modest hardware.
+// scale with n, so a 1024-node overlay boots, converges against the
+// cluster package's exact oracles, and completes its workload on
+// modest hardware.
 package livebench
 
 import (
@@ -48,7 +48,8 @@ var factories = map[string]ring.Factory{
 	"kademlia": kadring.New,
 }
 
-// Options parameterizes one live benchmark run (one geometry).
+// Options selects one live benchmark run (one geometry). Everything
+// else about the run is a constant below or derived from N.
 type Options struct {
 	// Proto is the routing geometry: chord, pastry, or kademlia.
 	Proto string
@@ -60,109 +61,66 @@ type Options struct {
 	Bits uint
 	// AuxCount is the auxiliary-neighbor budget k (default 8).
 	AuxCount int
-	// SuccessorListLen is the near-neighbor list bound (default 4; one
-	// leaf-set side in Pastry).
-	SuccessorListLen int
-	// BucketSize bounds Kademlia k-buckets (default 8 — at 1k nodes the
-	// protocol default of 20 multiplies convergence traffic for no
-	// routing benefit at 16-bit scale). Ignored by the ring geometries.
-	BucketSize int
-	// FixFingersBatch is how many long-range table entries each chord
-	// maintenance tick refreshes (default 8 — one-per-tick needs
-	// bits·period to lap a 16-entry table, and at n=1024 that serial
-	// refresh dominated converge time). Pastry and Kademlia ignore it.
-	FixFingersBatch int
-
-	// Keys is the preloaded key count (default 8·N, capped to a quarter
-	// of the id space). Sizing the universe in multiples of N is what
-	// makes the anti-entropy figures representative: each owner then
-	// digests multi-entry batches, which is the regime the digest
-	// protocol's byte reduction is designed for (a one-item overlay
-	// would price only the per-message overhead).
-	Keys int
-	// ZipfAlpha is the workload skew exponent (default 1.2, the paper's
-	// hot sweep).
-	ZipfAlpha float64
-	// WarmupOps are unmeasured lookups that feed the frequency
-	// observers before aux selection is judged (default 4·N).
-	WarmupOps int
-	// Ops are the measured lookups (default 8·N).
-	Ops int
-	// Workers is the client concurrency for the workload phases
-	// (default 8).
-	Workers int
-	// HotReads is the per-arm read count of the hot-key phase: every
-	// worker hammers the single hottest key, once through owner reads
-	// (Get) and once through replica-accepting reads (FindValue), so
-	// the two read contracts are priced against each other on the same
-	// key (default 4·N).
-	HotReads int
-
-	// StreamObjectBytes sizes the streaming-phase object (default
-	// 1 MiB — 257 chunks at the wire-limit chunk size).
-	StreamObjectBytes int
-	// StreamReads is how many times the streaming phase reads the
-	// object back sequentially, each from a fresh random origin
-	// (default 3).
-	StreamReads int
-	// StreamPrefetch is the reader lookahead depth (default 2; -1
-	// reads strictly on demand).
-	StreamPrefetch int
-
-	// WANRegions is the geographic cluster count of the WAN phase's
-	// latency topology (default 3 — enough for a bimodal intra/inter
-	// RTT split without fragmenting 32 sources across too many metros).
-	WANRegions int
-	// WANScale compresses the WAN topology's delays (default 0.12:
-	// worst trans-continental RTT ≈ 40ms, safely under the 250ms RPC
-	// timeout while keeping a 20x intra/inter spread).
-	WANScale float64
-	// WANSources is how many nodes act as measured lookup origins in
-	// the WAN phase (default 32, capped at N/4). Arms toggle QoS on the
-	// sources only, so hop-greedy and QoS measurements route through an
-	// otherwise identical overlay.
-	WANSources int
-	// WANHotKeys is the hot working set of the WAN arms: the Zipf-
-	// hottest ranks, sampled with the workload's skew (default
-	// 2·AuxCount — twice the aux budget, so selection policy decides
-	// which half of the set gets direct pointers).
-	WANHotKeys int
-	// WANOps is the measured lookup count of each WAN arm (default 2·N).
-	WANOps int
-	// WANChurnMeanLife is the mean of the exponential node-lifetime
-	// distribution driving the churn arm (default 900s, the paper's
-	// median session time; the aggregate departure rate is
-	// N/WANChurnMeanLife, so at n=1024 the arm sees roughly one
-	// crash-and-rejoin per second).
-	WANChurnMeanLife time.Duration
-	// WANFlashReads is the per-burst read count of the flash-crowd arm
-	// (default N).
-	WANFlashReads int
-
-	// IdleWindow is how long to watch the converged, idle overlay to
-	// price pure maintenance overhead (default 3s).
-	IdleWindow time.Duration
-	// ConvergeTimeout bounds the oracle convergence wait (default 10m).
-	ConvergeTimeout time.Duration
-
-	// StabilizeEvery etc. override the n-scaled maintenance periods
-	// when non-zero.
-	StabilizeEvery, FixFingersEvery, AuxEvery, ReplicateEvery time.Duration
-
 	// Logf, when non-nil, receives phase-progress lines.
 	Logf func(format string, args ...any)
 }
+
+// The run's fixed shape.
+const (
+	// successorListLen bounds the near-neighbor list (one leaf-set side
+	// in Pastry).
+	successorListLen = 4
+	// bucketSize bounds Kademlia k-buckets: at 1k nodes the protocol
+	// default of 20 multiplies convergence traffic for no routing
+	// benefit at 16-bit scale.
+	bucketSize = 8
+	// fixFingersBatch is how many long-range table entries each chord
+	// maintenance tick refreshes: one per tick needs bits·period to lap
+	// a 16-entry table, and at n = 1024 that serial refresh dominated
+	// converge time. Pastry and Kademlia ignore it.
+	fixFingersBatch = 8
+	// zipfAlpha is the workload skew exponent (the paper's hot sweep).
+	zipfAlpha = 1.2
+	// workers is the client concurrency of every workload phase.
+	workers = 8
+
+	// The streaming phase reads one 1 MiB object back three times, with
+	// a two-chunk reader lookahead.
+	streamObjectBytes = 1 << 20
+	streamReads       = 3
+	streamPrefetch    = 2
+
+	// wanRegions is the WAN topology's geographic cluster count: enough
+	// for a bimodal intra/inter RTT split without fragmenting the
+	// sources across too many metros.
+	wanRegions = 3
+	// wanScale compresses the WAN topology's delays: the worst
+	// trans-continental RTT is about 40ms, safely under the 250ms RPC
+	// timeout, with a 20x intra/inter spread.
+	wanScale = 0.12
+	// wanChurnMeanLife is the mean node lifetime of the churn arm (the
+	// paper's median session time): the aggregate departure rate is
+	// N/wanChurnMeanLife, about one crash-and-rejoin a second at
+	// n = 1024.
+	wanChurnMeanLife = 900 * time.Second
+
+	// idleWindow is how long the converged, idle overlay is watched to
+	// price pure maintenance.
+	idleWindow = 3 * time.Second
+	// convergeTimeout bounds every oracle convergence wait.
+	convergeTimeout = 10 * time.Minute
+	// replSettlePeriods bounds the anti-entropy phase's wait for the
+	// preload's first replicas, in replication periods.
+	replSettlePeriods = 8
+)
 
 func (o Options) withDefaults() (Options, error) {
 	if _, ok := factories[o.Proto]; !ok {
 		return o, fmt.Errorf("livebench: unknown proto %q", o.Proto)
 	}
-	def := func(p *int, v int) {
-		if *p == 0 {
-			*p = v
-		}
+	if o.N == 0 {
+		o.N = 1024
 	}
-	def(&o.N, 1024)
 	if o.N < 8 {
 		return o, fmt.Errorf("livebench: n %d below 8", o.N)
 	}
@@ -172,71 +130,29 @@ func (o Options) withDefaults() (Options, error) {
 	if uint64(o.N)*4 > uint64(1)<<o.Bits {
 		return o, fmt.Errorf("livebench: n %d too dense for %d-bit space", o.N, o.Bits)
 	}
-	def(&o.AuxCount, 8)
-	def(&o.SuccessorListLen, 4)
-	def(&o.BucketSize, 8)
-	def(&o.Keys, 8*o.N)
-	if cap := int(uint64(1) << o.Bits / 4); o.Keys > cap {
-		o.Keys = cap
+	if o.AuxCount == 0 {
+		o.AuxCount = 8
 	}
-	if o.ZipfAlpha == 0 {
-		o.ZipfAlpha = 1.2
-	}
-	def(&o.WarmupOps, 4*o.N)
-	def(&o.Ops, 8*o.N)
-	def(&o.Workers, 8)
-	def(&o.HotReads, 4*o.N)
-	def(&o.FixFingersBatch, 8)
-	def(&o.StreamObjectBytes, 1<<20)
-	def(&o.StreamReads, 3)
-	def(&o.StreamPrefetch, 2)
-	def(&o.WANRegions, 3)
-	if o.WANScale == 0 {
-		o.WANScale = 0.12
-	}
-	def(&o.WANSources, min(32, o.N/4))
-	if o.WANSources > o.N {
-		o.WANSources = o.N
-	}
-	def(&o.WANHotKeys, 2*o.AuxCount)
-	if o.WANHotKeys > o.Keys {
-		o.WANHotKeys = o.Keys
-	}
-	def(&o.WANOps, 2*o.N)
-	if o.WANChurnMeanLife == 0 {
-		o.WANChurnMeanLife = 900 * time.Second
-	}
-	def(&o.WANFlashReads, o.N)
-	if o.StreamPrefetch < 0 {
-		o.StreamPrefetch = 0 // explicit on-demand
-	}
-	if o.IdleWindow == 0 {
-		o.IdleWindow = 3 * time.Second
-	}
-	if o.ConvergeTimeout == 0 {
-		o.ConvergeTimeout = 10 * time.Minute
-	}
-	// Maintenance periods scale with n: tight 25ms/5ms cluster-test
-	// timings are right for 56 nodes but at 1k+ they demand more
-	// maintenance CPU than exists, so rounds stretch arbitrarily under
-	// scheduler backpressure anyway — better to pick honest periods and
-	// record them. The scaling keeps total maintenance load (runs/sec =
-	// n/period) roughly constant across n.
-	scale := time.Duration((o.N + 63) / 64)
-	defDur := func(p *time.Duration, v time.Duration) {
-		if *p == 0 {
-			*p = v
-		}
-	}
-	defDur(&o.StabilizeEvery, min(2*time.Second, scale*25*time.Millisecond))
-	defDur(&o.FixFingersEvery, min(time.Second, scale*8*time.Millisecond))
-	defDur(&o.AuxEvery, min(2*time.Second, scale*100*time.Millisecond))
-	defDur(&o.ReplicateEvery, min(20*time.Second, scale*time.Second))
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
 	}
 	return o, nil
 }
+
+// Maintenance periods scale with n: tight 25ms/5ms cluster-test timings
+// are right for 56 nodes, but at 1k+ they demand more maintenance CPU
+// than exists, so rounds stretch arbitrarily under scheduler
+// backpressure anyway; better to pick honest periods and record them.
+// The scaling keeps total maintenance load (runs/sec = n/period)
+// roughly constant across n.
+func (o Options) every(base, ceiling time.Duration) time.Duration {
+	return min(ceiling, time.Duration((o.N+63)/64)*base)
+}
+
+func (o Options) stabilizeEvery() time.Duration  { return o.every(25*time.Millisecond, 2*time.Second) }
+func (o Options) fixFingersEvery() time.Duration { return o.every(8*time.Millisecond, time.Second) }
+func (o Options) auxEvery() time.Duration        { return o.every(100*time.Millisecond, 2*time.Second) }
+func (o Options) replicateEvery() time.Duration  { return o.every(time.Second, 20*time.Second) }
 
 // Result is the machine-readable outcome of one live run; field names
 // are the BENCH_live.json schema (documented in docs/BENCHMARKS.md).
@@ -297,10 +213,11 @@ type Result struct {
 	StreamTTFBUS      float64 `json:"stream_ttfb_us"`
 	StreamMBPS        float64 `json:"stream_mbps"`
 
-	// Replication data plane (schema v3). The anti-entropy window is
-	// measured on the preloaded, write-quiet overlay: one ReplicateEvery
-	// period after the preload (so the round that ships the new items
-	// has passed), two further periods are priced. ReplBytesPerSec is
+	// Replication data plane. The anti-entropy window is measured on the
+	// preloaded, write-quiet overlay: it opens once the preload's first
+	// replicas have all shipped (the cluster's diff-key count held still
+	// for a full replication period) and prices two further periods,
+	// so only steady-state digest rounds fall inside. ReplBytesPerSec is
 	// what the digest protocol actually sent cluster-wide in that
 	// window — digest requests, digest responses, and any diff or
 	// fallback pushes; ReplFullPushBytesPerSec is the counterfactual
@@ -309,7 +226,6 @@ type Result struct {
 	// sent for the same batches. ReplReduction is their ratio — the
 	// headline anti-entropy saving, ≥5 at full scale.
 	ReplicateEveryMS        int64   `json:"replicate_every_ms"`
-	StoreShards             int     `json:"store_shards"`
 	ReplBytesPerSec         float64 `json:"repl_bytes_per_sec"`
 	ReplFullPushBytesPerSec float64 `json:"repl_full_push_bytes_per_sec"`
 	ReplReduction           float64 `json:"repl_reduction"`
@@ -337,7 +253,7 @@ type Result struct {
 	HotFailures          int     `json:"hot_failures"`
 	ReplicaHitRate       float64 `json:"replica_hit_rate"`
 
-	// WAN latency phase (schema v4). The converged overlay is moved onto
+	// WAN latency phase. The converged overlay is moved onto
 	// a seeded coordinate WAN topology (every RPC pays heterogeneous
 	// propagation delay) and WANSources origins drive Zipf lookups over
 	// the WANHotKeys hottest ranks, wall latency per lookup. Four arms:
@@ -389,7 +305,7 @@ type Result struct {
 	// (no live owner copy) at the end of the run. The replication
 	// loop's stranded repair re-homes such keys within a few periods,
 	// so Run fails rather than record a non-zero count: a committed
-	// v2 file always carries 0 here.
+	// file always carries 0 here.
 	StrandedKeys int `json:"stranded_keys"`
 
 	Net    memnet.Stats `json:"net"`
@@ -415,7 +331,7 @@ func snapshot(nodes []*node.Node) counterSnap {
 // replSnap is the cluster-wide aggregate of the replication data-plane
 // counters.
 type replSnap struct {
-	out, fullPush, fallbacks, serves uint64
+	out, fullPush, fallbacks, serves, diffKeys, promotions uint64
 }
 
 func replSnapshot(nodes []*node.Node) replSnap {
@@ -426,240 +342,347 @@ func replSnapshot(nodes []*node.Node) replSnap {
 		s.fullPush += m.ReplBytesFullPush
 		s.fallbacks += m.FullPushFallbacks
 		s.serves += m.ReplicaServes
+		s.diffKeys += m.DiffKeysOut
+		s.promotions += m.Promotions
 	}
 	return s
 }
 
-// Run executes one live benchmark: boot, converge, idle maintenance
-// window, preload, warmup, measured workload, stranded scan.
+// overlay is one booted run: the options, the cluster, and what the
+// phases share.
+type overlay struct {
+	Options
+	*cluster.Cluster
+	sched *node.BatchScheduler
+	// rng is the run's sequential stream: ids, keys, the preload
+	// value, then the streaming phase's object and origins.
+	rng  *rand.Rand
+	keys []id.ID
+	// topo is the WAN phase's latency topology, and bound the QoS delay
+	// bound derived from it.
+	topo  *memnet.WANTopology
+	bound time.Duration
+}
+
+// boot draws the run's ids and keys and starts the overlay; o must
+// have its defaults applied.
+func boot(o Options) (*overlay, error) {
+	space := id.NewSpace(o.Bits)
+	ov := &overlay{Options: o, rng: rand.New(rand.NewSource(o.Seed))}
+	ids := randx.UniqueIDs(ov.rng, o.N, space.Size())
+	// The key universe is 8·N keys, capped to a quarter of the id space.
+	// Sizing it in multiples of N is what makes the anti-entropy figures
+	// representative: each owner then digests multi-entry batches, the
+	// regime the digest protocol's byte reduction is designed for (a
+	// one-item overlay would price only the per-message overhead).
+	for _, k := range randx.UniqueIDs(ov.rng, min(8*o.N, int(space.Size()/4)), space.Size()) {
+		ov.keys = append(ov.keys, id.ID(k))
+	}
+	nw := memnet.New(o.Seed)
+	ov.sched = node.NewBatchScheduler(0)
+	// The WAN topology and the QoS delay bound derived from it exist
+	// before boot: addresses are deterministic (cluster.AddrFor), so the
+	// bound every node carries in its config — inert until the WAN phase
+	// toggles SetAuxQoS — is a pure function of the run's seed.
+	ov.topo = memnet.NewWANTopology(o.Seed, memnet.WANOptions{Regions: wanRegions, Scale: wanScale})
+	ov.bound = wanQoSBound(ov.topo, ids)
+	// nodeConfig reads Space and Net while Start runs.
+	ov.Cluster = &cluster.Cluster{Space: space, Net: nw}
+	c, err := cluster.Start(space, nw, ids, func(i int, cfg *node.Config) {
+		*cfg = ov.nodeConfig(ids[i])
+	})
+	if err != nil {
+		ov.sched.Close()
+		nw.CloseAll()
+		return nil, err
+	}
+	ov.Cluster = c
+	return ov, nil
+}
+
+func (ov *overlay) close() {
+	ov.Cluster.Close()
+	ov.sched.Close()
+	ov.Net.CloseAll()
+}
+
+// nodeConfig is the single source of node configuration: boot applies
+// it per id, and the churn arm's crash-and-rejoin restarts reuse it so
+// a reborn node is configured exactly like its previous life.
+func (ov *overlay) nodeConfig(x uint64) node.Config {
+	return node.Config{
+		Space:             ov.Space,
+		ID:                id.ID(x),
+		Addr:              cluster.AddrFor(id.ID(x)),
+		NewRing:           factories[ov.Proto],
+		SuccessorListLen:  successorListLen,
+		BucketSize:        bucketSize,
+		AuxCount:          ov.AuxCount,
+		StabilizeEvery:    ov.stabilizeEvery(),
+		FixFingersEvery:   ov.fixFingersEvery(),
+		FixFingersBatch:   fixFingersBatch,
+		AuxEvery:          ov.auxEvery(),
+		ReplicateEvery:    ov.replicateEvery(),
+		AuxQoSDelayBound:  ov.bound,
+		RPCTimeout:        250 * time.Millisecond,
+		RPCRetries:        1,
+		ItemCacheCapacity: -1, // hops must reach owners: no local copies
+		Scheduler:         ov.sched,
+		Listen: func(addr string) (node.PacketConn, error) {
+			return ov.Net.Listen(addr)
+		},
+	}
+}
+
+// converge waits for the geometry's exact convergence oracle.
+func (ov *overlay) converge() error {
+	switch ov.Proto {
+	case "pastry":
+		return ov.WaitConvergedPastry(successorListLen, convergeTimeout)
+	case "kademlia":
+		return ov.WaitConvergedKademlia(bucketSize, convergeTimeout)
+	default:
+		return ov.WaitConverged(convergeTimeout)
+	}
+}
+
+// outcome is one workload operation's result: hops and wall latency of
+// a success, or the error of a failure.
+type outcome struct {
+	hops  int
+	latUS int64
+	err   error
+}
+
+// drive runs ops operations split across the workers, worker 0 taking
+// the remainder. Worker w runs op on the contiguous index block it owns,
+// with its own rng seeded from tag and w, and the outcomes come back in
+// index order.
+func drive(seed int64, tag string, ops int, op func(rng *rand.Rand, i int) outcome) []outcome {
+	out := make([]outcome, ops)
+	var wg sync.WaitGroup
+	per, lo := ops/workers, 0
+	for w := 0; w < workers; w++ {
+		n := per
+		if w == 0 {
+			n += ops % workers
+		}
+		wg.Add(1)
+		go func(w, lo, hi int) {
+			defer wg.Done()
+			wrng := rand.New(rand.NewSource(randx.DeriveSeed(seed, fmt.Sprintf("%s-%d", tag, w))))
+			for i := lo; i < hi; i++ {
+				out[i] = op(wrng, i)
+			}
+		}(w, lo, lo+n)
+		lo += n
+	}
+	wg.Wait()
+	return out
+}
+
+// lookup times one Lookup of key from origin.
+func lookup(origin *node.Node, key id.ID) outcome {
+	t0 := time.Now()
+	_, h, err := origin.Lookup(key)
+	return outcome{hops: h, latUS: time.Since(t0).Microseconds(), err: err}
+}
+
+// successes splits outcomes into the successes' hops and latencies and
+// the failure count.
+func successes(outs []outcome) (hops []int, lat []int64, failures int) {
+	for _, o := range outs {
+		if o.err != nil {
+			failures++
+			continue
+		}
+		hops = append(hops, o.hops)
+		lat = append(lat, o.latUS)
+	}
+	return hops, lat, failures
+}
+
+// Run executes one live benchmark: boot, converge, then the idle,
+// preload, anti-entropy, Zipf, hot-key, streaming, WAN and stranded-drain
+// phases in that order.
 func Run(o Options) (*Result, error) {
 	o, err := o.withDefaults()
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	space := id.NewSpace(o.Bits)
-	rng := rand.New(rand.NewSource(o.Seed))
-	ids := randx.UniqueIDs(rng, o.N, space.Size())
-	keyIDs := randx.UniqueIDs(rng, o.Keys, space.Size())
-	keys := make([]id.ID, o.Keys)
-	for i, k := range keyIDs {
-		keys[i] = id.ID(k)
-	}
-
-	nw := memnet.New(o.Seed)
-	sched := node.NewBatchScheduler(0)
-	// The WAN topology and the QoS delay bound derived from it exist
-	// before boot: addresses are deterministic (cluster.AddrFor), so the
-	// bound every node carries in its config — inert until the WAN phase
-	// toggles SetAuxQoS — is a pure function of the run's seed.
-	topo := memnet.NewWANTopology(o.Seed, memnet.WANOptions{Regions: o.WANRegions, Scale: o.WANScale})
-	wanBound := wanQoSBound(topo, ids)
-	// mkCfg is the single source of node configuration: cluster boot
-	// applies it per index, and the churn arm's crash-and-rejoin
-	// restarts reuse it so a reborn node is configured exactly like its
-	// previous life.
-	mkCfg := func(x uint64) node.Config {
-		return node.Config{
-			Space:             space,
-			ID:                id.ID(x),
-			Addr:              cluster.AddrFor(id.ID(x)),
-			NewRing:           factories[o.Proto],
-			SuccessorListLen:  o.SuccessorListLen,
-			BucketSize:        o.BucketSize,
-			AuxCount:          o.AuxCount,
-			StabilizeEvery:    o.StabilizeEvery,
-			FixFingersEvery:   o.FixFingersEvery,
-			FixFingersBatch:   o.FixFingersBatch,
-			AuxEvery:          o.AuxEvery,
-			ReplicateEvery:    o.ReplicateEvery,
-			AuxQoSDelayBound:  wanBound,
-			RPCTimeout:        250 * time.Millisecond,
-			RPCRetries:        1,
-			ItemCacheCapacity: -1, // hops must reach owners: no local copies
-			Scheduler:         sched,
-			Listen: func(addr string) (node.PacketConn, error) {
-				return nw.Listen(addr)
-			},
-		}
-	}
 	o.Logf("livebench: %s n=%d seed=%d: booting", o.Proto, o.N, o.Seed)
-	c, err := cluster.Start(space, nw, ids, func(i int, cfg *node.Config) {
-		*cfg = mkCfg(ids[i])
-	})
+	ov, err := boot(o)
 	if err != nil {
-		sched.Close()
-		nw.CloseAll()
 		return nil, err
 	}
-	defer func() {
-		c.Close()
-		sched.Close()
-		nw.CloseAll()
-	}()
+	defer ov.close()
 	r := &Result{
 		Proto: o.Proto, Nodes: o.N, Seed: o.Seed, Bits: o.Bits,
-		AuxCount: o.AuxCount, Alpha: c.Nodes[0].Metrics().Alpha,
-		SuccessorListLen: o.SuccessorListLen,
-		Keys:             o.Keys, ZipfAlpha: o.ZipfAlpha,
-		WarmupOps: o.WarmupOps, Ops: o.Ops, Workers: o.Workers,
-		StabilizeMS:      o.StabilizeEvery.Milliseconds(),
-		FixFingersMS:     o.FixFingersEvery.Milliseconds(),
-		FixFingersBatch:  o.FixFingersBatch,
-		AuxEveryMS:       o.AuxEvery.Milliseconds(),
-		ReplicateEveryMS: o.ReplicateEvery.Milliseconds(),
-		StoreShards:      c.Nodes[0].Metrics().StoreShards,
-		HotReads:         o.HotReads,
+		AuxCount: o.AuxCount, Alpha: ov.Nodes[0].Metrics().Alpha,
+		SuccessorListLen: successorListLen,
+		Keys:             len(ov.keys), ZipfAlpha: zipfAlpha,
+		WarmupOps: 4 * o.N, Ops: 8 * o.N, Workers: workers,
+		StabilizeMS:      o.stabilizeEvery().Milliseconds(),
+		FixFingersMS:     o.fixFingersEvery().Milliseconds(),
+		FixFingersBatch:  fixFingersBatch,
+		AuxEveryMS:       o.auxEvery().Milliseconds(),
+		ReplicateEveryMS: o.replicateEvery().Milliseconds(),
+		HotReads:         4 * o.N,
 		BootMS:           time.Since(start).Milliseconds(),
 	}
 	if o.Proto == "kademlia" {
-		r.BucketSize = o.BucketSize
+		r.BucketSize = bucketSize
 	}
 	o.Logf("livebench: booted in %dms, waiting for convergence", r.BootMS)
 
-	waitConverged := func() error {
-		switch o.Proto {
-		case "pastry":
-			return c.WaitConvergedPastry(o.SuccessorListLen, o.ConvergeTimeout)
-		case "kademlia":
-			return c.WaitConvergedKademlia(o.BucketSize, o.ConvergeTimeout)
-		default:
-			return c.WaitConverged(o.ConvergeTimeout)
-		}
-	}
 	convergeStart := time.Now()
-	if err := waitConverged(); err != nil {
+	if err := ov.converge(); err != nil {
 		return nil, fmt.Errorf("livebench: %s n=%d: %w", o.Proto, o.N, err)
 	}
 	r.ConvergeMS = time.Since(convergeStart).Milliseconds()
 	o.Logf("livebench: converged in %dms, pricing idle maintenance", r.ConvergeMS)
 
-	// Idle window: the overlay is converged and carries no application
-	// traffic, so every message in this window is maintenance.
-	idleBefore := snapshot(c.Nodes)
-	time.Sleep(o.IdleWindow)
-	idleAfter := snapshot(c.Nodes)
-	idleSecs := o.IdleWindow.Seconds()
-	r.MaintMsgsPerSecPerNode = float64(idleAfter.msgs-idleBefore.msgs) / idleSecs / float64(o.N)
-	r.MaintBytesPerSecPerNode = float64(idleAfter.bytes-idleBefore.bytes) / idleSecs / float64(o.N)
+	idlePhase(ov, r)
+	if err := preloadPhase(ov); err != nil {
+		return nil, err
+	}
+	antiEntropyPhase(ov, r)
+	if err := zipfPhase(ov, r); err != nil {
+		return nil, err
+	}
+	if err := hotPhase(ov, r); err != nil {
+		return nil, err
+	}
+	if err := streamPhase(ov, r); err != nil {
+		return nil, err
+	}
+	if err := wanPhase(ov, r); err != nil {
+		return nil, err
+	}
+	if err := drainPhase(ov, r); err != nil {
+		return nil, err
+	}
 
-	// Preload the key universe through random origins, sharded across
-	// the workload workers — 8·N sequential puts would dominate the
-	// wall clock at full scale.
+	r.Net = ov.Net.Stats()
+	r.WallMS = time.Since(start).Milliseconds()
+	o.Logf("livebench: %s n=%d done: mean hops %.3f, aux hit rate %.3f, stream ttfb %.0fus %.2f MB/s, wall %dms",
+		o.Proto, o.N, r.MeanHops, r.AuxHitRate, r.StreamTTFBUS, r.StreamMBPS, r.WallMS)
+	return r, nil
+}
+
+// idlePhase prices pure maintenance: the overlay is converged and
+// carries no application traffic, so every message in the window is
+// maintenance.
+func idlePhase(ov *overlay, r *Result) {
+	before := snapshot(ov.Nodes)
+	time.Sleep(idleWindow)
+	after := snapshot(ov.Nodes)
+	perNodeSec := idleWindow.Seconds() * float64(ov.N)
+	r.MaintMsgsPerSecPerNode = float64(after.msgs-before.msgs) / perNodeSec
+	r.MaintBytesPerSecPerNode = float64(after.bytes-before.bytes) / perNodeSec
+}
+
+// preloadPhase puts the key universe, one 64-byte value, through random
+// origins across the workers: 8·N sequential puts would dominate the
+// wall clock at full scale.
+func preloadPhase(ov *overlay) error {
 	val := make([]byte, 64)
-	rng.Read(val)
-	{
-		var wg sync.WaitGroup
-		errs := make([]error, o.Workers)
-		for w := 0; w < o.Workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				wrng := rand.New(rand.NewSource(randx.DeriveSeed(o.Seed, fmt.Sprintf("preload-%d", w))))
-				for i := w; i < len(keys); i += o.Workers {
-					origin := c.Nodes[wrng.Intn(len(c.Nodes))]
-					if _, err := origin.Put(keys[i], val); err != nil {
-						errs[w] = fmt.Errorf("livebench: preload put %d (key %d): %w", i, keys[i], err)
-						return
-					}
-				}
-			}(w)
+	ov.rng.Read(val)
+	outs := drive(ov.Seed, "preload", len(ov.keys), func(rng *rand.Rand, i int) outcome {
+		if _, err := ov.Nodes[rng.Intn(len(ov.Nodes))].Put(ov.keys[i], val); err != nil {
+			return outcome{err: fmt.Errorf("livebench: preload put %d (key %d): %w", i, ov.keys[i], err)}
 		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
+		return outcome{}
+	})
+	for _, o := range outs {
+		if o.err != nil {
+			return o.err
 		}
 	}
-	o.Logf("livebench: %d keys preloaded, pricing anti-entropy (%v window)", len(keys), 2*o.ReplicateEvery)
+	return nil
+}
 
-	// Anti-entropy window: the overlay is write-quiet, so after one
-	// period (which lets the round that ships the freshly preloaded
-	// items pass) every further round is steady-state digest traffic.
-	// Two periods guarantee at least one full round per owner
-	// regardless of ticker phase.
-	time.Sleep(o.ReplicateEvery)
-	replBefore := replSnapshot(c.Nodes)
-	replStart := time.Now()
-	time.Sleep(2 * o.ReplicateEvery)
-	replAfter := replSnapshot(c.Nodes)
-	replSecs := time.Since(replStart).Seconds()
-	r.ReplBytesPerSec = float64(replAfter.out-replBefore.out) / replSecs
-	r.ReplFullPushBytesPerSec = float64(replAfter.fullPush-replBefore.fullPush) / replSecs
-	r.ReplFallbacks = replAfter.fallbacks - replBefore.fallbacks
-	if d := replAfter.out - replBefore.out; d > 0 {
-		r.ReplReduction = float64(replAfter.fullPush-replBefore.fullPush) / float64(d)
+// antiEntropyPhase prices steady-state digest anti-entropy on the
+// write-quiet, preloaded overlay and returns the diff keys shipped
+// inside its window.
+//
+// The window opens only once the preload's first replicas have all
+// shipped: the cluster's diff-key count must hold still for a full
+// replication period. One period after the preload is not enough at
+// n = 1024, where about a tenth of the keys still ship their first
+// replica later; those diffs would land in the window and price a
+// one-off transfer as steady state. The wait is bounded by
+// replSettlePeriods periods; a window opened at the bound is logged.
+// Two periods then guarantee at least one full round per owner
+// regardless of ticker phase.
+func antiEntropyPhase(ov *overlay, r *Result) uint64 {
+	every := ov.replicateEvery()
+	diffKeys := func() uint64 { return replSnapshot(ov.Nodes).diffKeys }
+	if !settle(every, replSettlePeriods, diffKeys) {
+		ov.Logf("livebench: first replicas still shipping after %v, opening the anti-entropy window anyway", replSettlePeriods*every)
 	}
-	o.Logf("livebench: anti-entropy %.0f B/s vs %.0f B/s full-push (%.1fx reduction, %d fallbacks), warming up (%d ops)",
-		r.ReplBytesPerSec, r.ReplFullPushBytesPerSec, r.ReplReduction, r.ReplFallbacks, o.WarmupOps)
+	ov.Logf("livebench: %d keys preloaded, pricing anti-entropy (%v window)", len(ov.keys), 2*every)
 
-	// Zipf workload: rank r's popularity ∝ r^-alpha, ranks assigned to
-	// keys in preload order (the mapping is arbitrary but fixed by the
-	// seed). Warmup feeds each origin's frequency observer so aux
-	// recomputation has a distribution to optimize before measurement.
-	alias := randx.NewAlias(randx.ZipfWeights(o.Keys, o.ZipfAlpha))
-	runPhase := func(ops int, record bool) ([]int, []int64, int) {
-		var (
-			mu        sync.Mutex
-			hops      []int
-			latencies []int64
-			failures  int
-		)
-		var wg sync.WaitGroup
-		perWorker := ops / o.Workers
-		for w := 0; w < o.Workers; w++ {
-			n := perWorker
-			if w == 0 {
-				n += ops % o.Workers
-			}
-			wg.Add(1)
-			go func(w, n int) {
-				defer wg.Done()
-				wrng := rand.New(rand.NewSource(randx.DeriveSeed(o.Seed, fmt.Sprintf("worker-%d-%t", w, record))))
-				myHops := make([]int, 0, n)
-				myLat := make([]int64, 0, n)
-				myFail := 0
-				for i := 0; i < n; i++ {
-					origin := c.Nodes[wrng.Intn(len(c.Nodes))]
-					key := keys[alias.Sample(wrng)]
-					t0 := time.Now()
-					_, h, err := origin.Lookup(key)
-					if err != nil {
-						myFail++
-						continue
-					}
-					if record {
-						myHops = append(myHops, h)
-						myLat = append(myLat, time.Since(t0).Microseconds())
-					}
-				}
-				mu.Lock()
-				hops = append(hops, myHops...)
-				latencies = append(latencies, myLat...)
-				failures += myFail
-				mu.Unlock()
-			}(w, n)
+	before := replSnapshot(ov.Nodes)
+	start := time.Now()
+	time.Sleep(2 * every)
+	after := replSnapshot(ov.Nodes)
+	secs := time.Since(start).Seconds()
+	r.ReplBytesPerSec = float64(after.out-before.out) / secs
+	r.ReplFullPushBytesPerSec = float64(after.fullPush-before.fullPush) / secs
+	r.ReplFallbacks = after.fallbacks - before.fallbacks
+	if d := after.out - before.out; d > 0 {
+		r.ReplReduction = float64(after.fullPush-before.fullPush) / float64(d)
+	}
+	shipped := after.diffKeys - before.diffKeys
+	ov.Logf("livebench: anti-entropy %.0f B/s vs %.0f B/s full-push (%.1fx reduction, %d fallbacks, %d diff keys)",
+		r.ReplBytesPerSec, r.ReplFullPushBytesPerSec, r.ReplReduction, r.ReplFallbacks, shipped)
+	return shipped
+}
+
+// settle sleeps one step at a time until count holds still across a
+// whole step, for at most max steps, and reports whether it did.
+func settle(step time.Duration, max int, count func() uint64) bool {
+	prev := count()
+	for i := 0; i < max; i++ {
+		time.Sleep(step)
+		cur := count()
+		if cur == prev {
+			return true
 		}
-		wg.Wait()
-		return hops, latencies, failures
+		prev = cur
 	}
+	return false
+}
 
-	runPhase(o.WarmupOps, false)
+// zipfPhase is the measured lookup workload: rank r's popularity ∝
+// r^-zipfAlpha, ranks assigned to keys in preload order (the mapping is
+// arbitrary but fixed by the seed). Unmeasured warmup lookups first
+// feed each origin's frequency observer, so aux recomputation has a
+// distribution to optimize before measurement.
+func zipfPhase(ov *overlay, r *Result) error {
+	alias := randx.NewAlias(randx.ZipfWeights(len(ov.keys), zipfAlpha))
+	op := func(rng *rand.Rand, _ int) outcome {
+		origin := ov.Nodes[rng.Intn(len(ov.Nodes))]
+		return lookup(origin, ov.keys[alias.Sample(rng)])
+	}
+	ov.Logf("livebench: warming up (%d ops)", r.WarmupOps)
+	drive(ov.Seed, "warmup", r.WarmupOps, op)
 	// Let aux recomputation see the warmed-up window before measuring:
 	// two aux periods cover a rotation plus a recompute.
-	time.Sleep(2 * o.AuxEvery)
-	o.Logf("livebench: warmed up, measuring (%d ops)", o.Ops)
+	time.Sleep(2 * ov.auxEvery())
+	ov.Logf("livebench: warmed up, measuring (%d ops)", r.Ops)
 
-	before := snapshot(c.Nodes)
-	measureStart := time.Now()
-	hops, latencies, failures := runPhase(o.Ops, true)
-	elapsed := time.Since(measureStart)
-	after := snapshot(c.Nodes)
+	before := snapshot(ov.Nodes)
+	start := time.Now()
+	hops, latencies, failures := successes(drive(ov.Seed, "zipf", r.Ops, op))
+	secs := time.Since(start).Seconds()
+	after := snapshot(ov.Nodes)
 
 	r.LookupFailures = failures
 	if len(hops) == 0 {
-		return nil, fmt.Errorf("livebench: %s n=%d: every measured lookup failed", o.Proto, o.N)
+		return fmt.Errorf("livebench: %s n=%d: every measured lookup failed", ov.Proto, ov.N)
 	}
 	r.MeanHops = meanInt(hops)
 	r.P50Hops = percentileInt(hops, 50)
@@ -667,49 +690,11 @@ func Run(o Options) (*Result, error) {
 	r.MeanLatencyUS = meanInt64(latencies)
 	r.P50LatencyUS = percentileInt64(latencies, 50)
 	r.P99LatencyUS = percentileInt64(latencies, 99)
-	secs := elapsed.Seconds()
-	r.OpsPerSec = float64(len(hops)+failures) / secs
+	r.OpsPerSec = float64(r.Ops) / secs
 	r.MsgsPerSec = float64(after.msgs-before.msgs) / secs
 	r.BytesPerSec = float64(after.bytes-before.bytes) / secs
-	r.AuxHitRate = float64(after.auxHits-before.auxHits) / float64(len(hops)+failures)
-
-	if err := hotPhase(o, c, nw, keys[0], waitConverged, r); err != nil {
-		return nil, err
-	}
-
-	if err := streamPhase(o, c, space, rng, r); err != nil {
-		return nil, err
-	}
-
-	if err := wanPhase(o, c, nw, topo, wanBound, keys, mkCfg, waitConverged, r); err != nil {
-		return nil, err
-	}
-
-	// Stranded drain: keys surviving only as replicas are re-homed by
-	// the replication loop's stranded repair within a few periods (a
-	// replica must age 3 periods before it counts as stranded, then
-	// one more round pushes it to the resolved owner). A key still
-	// stranded after the drain window is a durability hole, and the
-	// bench fails rather than record it.
-	drainDeadline := time.Now().Add(8 * o.ReplicateEvery)
-	for {
-		r.StrandedKeys = countStranded(c.Nodes, keys)
-		if r.StrandedKeys == 0 || time.Now().After(drainDeadline) {
-			break
-		}
-		o.Logf("livebench: %d keys stranded, waiting for repair", r.StrandedKeys)
-		time.Sleep(o.ReplicateEvery / 2)
-	}
-	if r.StrandedKeys > 0 {
-		return nil, fmt.Errorf("livebench: %s n=%d: %d keys still stranded after the repair drain window",
-			o.Proto, o.N, r.StrandedKeys)
-	}
-
-	r.Net = nw.Stats()
-	r.WallMS = time.Since(start).Milliseconds()
-	o.Logf("livebench: %s n=%d done: mean hops %.3f, aux hit rate %.3f, stream ttfb %.0fus %.2f MB/s, wall %dms",
-		o.Proto, o.N, r.MeanHops, r.AuxHitRate, r.StreamTTFBUS, r.StreamMBPS, r.WallMS)
-	return r, nil
+	r.AuxHitRate = float64(after.auxHits-before.auxHits) / float64(r.Ops)
+	return nil
 }
 
 // hotPhase prices the two read contracts on the single hottest key
@@ -727,48 +712,27 @@ func Run(o Options) (*Result, error) {
 // answered from replica copies. The partition is healed and the
 // overlay re-converged against the oracle before the next phase.
 // Origins skip the key's own holders so every read pays the network.
-func hotPhase(o Options, c *cluster.Cluster, nw *memnet.Network, hot id.ID, waitConverged func() error, r *Result) error {
+func hotPhase(ov *overlay, r *Result) error {
+	hot := ov.keys[0]
 	arm := func(reads int, read func(*node.Node) error) (float64, int) {
-		var (
-			wg       sync.WaitGroup
-			mu       sync.Mutex
-			failures int
-		)
 		start := time.Now()
-		per := reads / o.Workers
-		for w := 0; w < o.Workers; w++ {
-			n := per
-			if w == 0 {
-				n += reads % o.Workers
+		outs := drive(ov.Seed, "hot", reads, func(rng *rand.Rand, _ int) outcome {
+			origin := ov.Nodes[rng.Intn(len(ov.Nodes))]
+			if _, ok := origin.ItemDetail(hot); ok {
+				return outcome{} // holders answer locally; not a priced read
 			}
-			wg.Add(1)
-			go func(w, n int) {
-				defer wg.Done()
-				wrng := rand.New(rand.NewSource(randx.DeriveSeed(o.Seed, fmt.Sprintf("hot-%d", w))))
-				myFail := 0
-				for i := 0; i < n; i++ {
-					origin := c.Nodes[wrng.Intn(len(c.Nodes))]
-					if _, ok := origin.ItemDetail(hot); ok {
-						continue // holders answer locally; not a priced read
-					}
-					// One client-level retry before a read counts as
-					// failed: the kv client gives its callers the same
-					// budget, and a single lost race under an active
-					// partition is availability noise. The retry's cost
-					// stays in the arm's wall clock, so ops/sec still
-					// pays for it.
-					if err := read(origin); err != nil {
-						if err = read(origin); err != nil {
-							myFail++
-						}
-					}
-				}
-				mu.Lock()
-				failures += myFail
-				mu.Unlock()
-			}(w, n)
-		}
-		wg.Wait()
+			// One client-level retry before a read counts as failed: the
+			// kv client gives its callers the same budget, and a single
+			// lost race under an active partition is availability noise.
+			// The retry's cost stays in the arm's wall clock, so ops/sec
+			// still pays for it.
+			err := read(origin)
+			if err != nil {
+				err = read(origin)
+			}
+			return outcome{err: err}
+		})
+		_, _, failures := successes(outs)
 		return float64(reads) / time.Since(start).Seconds(), failures
 	}
 	ownerRead := func(n *node.Node) error {
@@ -780,18 +744,15 @@ func hotPhase(o Options, c *cluster.Cluster, nw *memnet.Network, hot id.ID, wait
 		return err
 	}
 
-	ownerOps, ownerFail := arm(o.HotReads, ownerRead)
-	anyOps, anyFail := arm(o.HotReads, anyRead)
+	ownerOps, ownerFail := arm(r.HotReads, ownerRead)
+	anyOps, anyFail := arm(r.HotReads, anyRead)
 
 	// The degraded arm is short: each read pays hedged probes past the
-	// dead owner (a quarter RPC timeout each), so a full-length arm
-	// would dominate the bench's wall clock without adding signal.
-	degradedReads := o.HotReads / 8
-	if degradedReads < 64 {
-		degradedReads = 64
-	}
+	// dead owner, so a full-length arm would dominate the bench's wall
+	// clock without adding signal.
+	degradedReads := max(64, r.HotReads/8)
 	var ownerNode *node.Node
-	for _, n := range c.Nodes {
+	for _, n := range ov.Nodes {
 		if it, ok := n.ItemDetail(hot); ok && it.Owned {
 			ownerNode = n
 			break
@@ -800,12 +761,12 @@ func hotPhase(o Options, c *cluster.Cluster, nw *memnet.Network, hot id.ID, wait
 	if ownerNode == nil {
 		return fmt.Errorf("livebench: hot key %d has no live owner before the degraded arm", hot)
 	}
-	nw.Partition("livebench-hot-owner", ownerNode.Addr())
-	servesBefore := replSnapshot(c.Nodes).serves
+	ov.Net.Partition("livebench-hot-owner", ownerNode.Addr())
+	before := replSnapshot(ov.Nodes)
 	degradedOps, degradedFail := arm(degradedReads, anyRead)
-	servesAfter := replSnapshot(c.Nodes).serves
-	nw.Heal("livebench-hot-owner")
-	if err := waitConverged(); err != nil {
+	after := replSnapshot(ov.Nodes)
+	ov.Net.Heal("livebench-hot-owner")
+	if err := ov.converge(); err != nil {
 		return fmt.Errorf("livebench: re-converge after the degraded hot arm: %w", err)
 	}
 
@@ -814,9 +775,12 @@ func hotPhase(o Options, c *cluster.Cluster, nw *memnet.Network, hot id.ID, wait
 	r.HotAnyOpsPerSec = anyOps
 	r.HotDegradedOpsPerSec = degradedOps
 	r.HotFailures = ownerFail + anyFail + degradedFail
-	r.ReplicaHitRate = float64(servesAfter-servesBefore) / float64(degradedReads)
-	o.Logf("livebench: hot key %d: owner %.0f ops/s, any-copy %.0f ops/s, owner-down any-copy %.0f ops/s, replica hit rate %.3f (%d failures)",
-		hot, ownerOps, anyOps, degradedOps, r.ReplicaHitRate, r.HotFailures)
+	r.ReplicaHitRate = float64(after.serves-before.serves) / float64(degradedReads)
+	// A replica holder that promotes the key to owned during the arm
+	// (its replication round finds it responsible once the partitioned
+	// owner is dropped) answers the rest as owner, not as replica.
+	ov.Logf("livebench: hot key %d: owner %.0f ops/s, any-copy %.0f ops/s, owner-down any-copy %.0f ops/s, replica hit rate %.3f (%d failures, %d promotions)",
+		hot, ownerOps, anyOps, degradedOps, r.ReplicaHitRate, r.HotFailures, after.promotions-before.promotions)
 	return nil
 }
 
@@ -825,7 +789,7 @@ func hotPhase(o Options, c *cluster.Cluster, nw *memnet.Network, hot id.ID, wait
 // and sustained throughput. Chunk fetches ride the normal lookup path
 // (FindValue), so prefetch lookahead feeds the origins' frequency
 // observers exactly like foreground traffic.
-func streamPhase(o Options, c *cluster.Cluster, space id.Space, rng *rand.Rand, r *Result) error {
+func streamPhase(ov *overlay, r *Result) error {
 	storeOver := func(n *node.Node) (*chunk.Store, error) {
 		return chunk.New(chunk.FuncKV{
 			PutFunc: func(key id.ID, value []byte) error {
@@ -836,7 +800,7 @@ func streamPhase(o Options, c *cluster.Cluster, space id.Space, rng *rand.Rand, 
 				res, err := n.FindValue(key)
 				return res.Value, res.Hops, err
 			},
-		}, chunk.Options{Space: space, Window: 8, Prefetch: o.StreamPrefetch, Retries: 3,
+		}, chunk.Options{Space: ov.Space, Window: 8, Prefetch: streamPrefetch, Retries: 3,
 			// A chunk key can collide with a preloaded workload key in
 			// the bench's small id space; the chunk put then bumps that
 			// key's version, and until the next digest round an
@@ -847,10 +811,10 @@ func streamPhase(o Options, c *cluster.Cluster, space id.Space, rng *rand.Rand, 
 				return res.Value, res.Hops, err
 			}})
 	}
-	obj := make([]byte, o.StreamObjectBytes)
-	rng.Read(obj)
-	root := space.Hash([]byte("livebench-stream-object"))
-	ws, err := storeOver(c.Nodes[rng.Intn(len(c.Nodes))])
+	obj := make([]byte, streamObjectBytes)
+	ov.rng.Read(obj)
+	root := ov.Space.Hash([]byte("livebench-stream-object"))
+	ws, err := storeOver(ov.Nodes[ov.rng.Intn(len(ov.Nodes))])
 	if err != nil {
 		return err
 	}
@@ -858,16 +822,16 @@ func streamPhase(o Options, c *cluster.Cluster, space id.Space, rng *rand.Rand, 
 	if err != nil {
 		return fmt.Errorf("livebench: stream put: %w", err)
 	}
-	r.StreamObjectBytes = o.StreamObjectBytes
+	r.StreamObjectBytes = streamObjectBytes
 	r.StreamChunkSize = int(m.ChunkSize)
 	r.StreamChunks = m.Chunks()
-	r.StreamPrefetch = o.StreamPrefetch
-	r.StreamReads = o.StreamReads
-	o.Logf("livebench: streaming %d bytes in %d chunks, %d reads", m.TotalLen, m.Chunks(), o.StreamReads)
+	r.StreamPrefetch = streamPrefetch
+	r.StreamReads = streamReads
+	ov.Logf("livebench: streaming %d bytes in %d chunks, %d reads", m.TotalLen, m.Chunks(), streamReads)
 
 	var ttfbSum, mbpsSum float64
-	for i := 0; i < o.StreamReads; i++ {
-		rs, err := storeOver(c.Nodes[rng.Intn(len(c.Nodes))])
+	for i := 0; i < streamReads; i++ {
+		rs, err := storeOver(ov.Nodes[ov.rng.Intn(len(ov.Nodes))])
 		if err != nil {
 			return err
 		}
@@ -889,8 +853,8 @@ func streamPhase(o Options, c *cluster.Cluster, space id.Space, rng *rand.Rand, 
 		ttfbSum += float64(st.TTFB.Microseconds())
 		mbpsSum += float64(st.BytesRead) / (1 << 20) / elapsed.Seconds()
 	}
-	r.StreamTTFBUS = ttfbSum / float64(o.StreamReads)
-	r.StreamMBPS = mbpsSum / float64(o.StreamReads)
+	r.StreamTTFBUS = ttfbSum / streamReads
+	r.StreamMBPS = mbpsSum / streamReads
 	return nil
 }
 
@@ -932,30 +896,34 @@ func wanQoSBound(t *memnet.WANTopology, ids []uint64) time.Duration {
 // tables the workload warms — flip to QoS-aware selection and routing),
 // the QoS arm under paper-rate churn, and a flash crowd on a cold key
 // before and after one aux adaptation. The topology is removed and the
-// overlay re-converged before the caller's stranded drain.
-func wanPhase(o Options, c *cluster.Cluster, nw *memnet.Network, topo *memnet.WANTopology,
-	bound time.Duration, keys []id.ID, mkCfg func(uint64) node.Config,
-	waitConverged func() error, r *Result) error {
-	r.WANRegions, r.WANScale = o.WANRegions, o.WANScale
-	r.WANSources, r.WANHotKeys, r.WANOps = o.WANSources, o.WANHotKeys, o.WANOps
-	r.WANQoSBoundMS = float64(bound) / float64(time.Millisecond)
-	r.WANChurnMeanLifeMS = o.WANChurnMeanLife.Milliseconds()
-	r.WANFlashReads = o.WANFlashReads
+// overlay re-converged before the stranded drain.
+func wanPhase(ov *overlay, r *Result) error {
+	r.WANRegions, r.WANScale = wanRegions, wanScale
+	// Arms toggle QoS on the sources only, so hop-greedy and QoS
+	// measurements route through an otherwise identical overlay. The hot
+	// working set is twice the aux budget, so selection policy decides
+	// which half of it gets direct pointers.
+	r.WANSources = min(32, ov.N/4)
+	r.WANHotKeys = min(2*ov.AuxCount, len(ov.keys))
+	r.WANOps = 2 * ov.N
+	r.WANQoSBoundMS = float64(ov.bound) / float64(time.Millisecond)
+	r.WANChurnMeanLifeMS = wanChurnMeanLife.Milliseconds()
+	r.WANFlashReads = ov.N
 
-	rng := rand.New(rand.NewSource(randx.DeriveSeed(o.Seed, "wan")))
-	perm := rng.Perm(len(c.Nodes))
-	srcIdx := make(map[int]bool, o.WANSources)
-	sources := make([]*node.Node, o.WANSources)
-	for i := 0; i < o.WANSources; i++ {
+	rng := rand.New(rand.NewSource(randx.DeriveSeed(ov.Seed, "wan")))
+	perm := rng.Perm(len(ov.Nodes))
+	srcIdx := make(map[int]bool, r.WANSources)
+	sources := make([]*node.Node, r.WANSources)
+	for i := range sources {
 		srcIdx[perm[i]] = true
-		sources[i] = c.Nodes[perm[i]]
+		sources[i] = ov.Nodes[perm[i]]
 	}
-	hot := keys[:o.WANHotKeys]
-	hotAlias := randx.NewAlias(randx.ZipfWeights(len(hot), o.ZipfAlpha))
+	hot := ov.keys[:r.WANHotKeys]
+	hotAlias := randx.NewAlias(randx.ZipfWeights(len(hot), zipfAlpha))
 
-	nw.SetTopology(topo)
-	o.Logf("livebench: WAN topology on (%d regions, scale %.2f, QoS bound %.1fms), warming %d sources over %d hot keys",
-		o.WANRegions, o.WANScale, r.WANQoSBoundMS, len(sources), len(hot))
+	ov.Net.SetTopology(ov.topo)
+	ov.Logf("livebench: WAN topology on (%d regions, scale %.2f, QoS bound %.1fms), warming %d sources over %d hot keys",
+		wanRegions, wanScale, r.WANQoSBoundMS, len(sources), len(hot))
 
 	// Warm + prime: each source observes a Zipf-shaped slice of the hot
 	// set (feeding its frequency window) and actively measures each hot
@@ -969,7 +937,7 @@ func wanPhase(o Options, c *cluster.Cluster, nw *memnet.Network, topo *memnet.WA
 			wg.Add(1)
 			go func(si int, s *node.Node) {
 				defer wg.Done()
-				wrng := rand.New(rand.NewSource(randx.DeriveSeed(o.Seed, fmt.Sprintf("wan-warm-%d", si))))
+				wrng := rand.New(rand.NewSource(randx.DeriveSeed(ov.Seed, fmt.Sprintf("wan-warm-%d", si))))
 				for i := 0; i < 4*len(hot); i++ {
 					s.Lookup(hot[hotAlias.Sample(wrng)])
 				}
@@ -986,44 +954,13 @@ func wanPhase(o Options, c *cluster.Cluster, nw *memnet.Network, topo *memnet.WA
 		wg.Wait()
 	}
 
-	// measure drives ops lookups from the sources through o.Workers
-	// clients and returns per-lookup wall latencies (µs) plus failures.
+	// measure drives ops lookups from the sources and returns the
+	// successes' wall latencies (µs) plus the failure count.
 	measure := func(tag string, ops int, keyFor func(*rand.Rand) id.ID) ([]int64, int, error) {
-		var (
-			mu        sync.Mutex
-			latencies []int64
-			failures  int
-			wg        sync.WaitGroup
-		)
-		per := ops / o.Workers
-		for w := 0; w < o.Workers; w++ {
-			n := per
-			if w == 0 {
-				n += ops % o.Workers
-			}
-			wg.Add(1)
-			go func(w, n int) {
-				defer wg.Done()
-				wrng := rand.New(rand.NewSource(randx.DeriveSeed(o.Seed, fmt.Sprintf("wan-%s-%d", tag, w))))
-				myLat := make([]int64, 0, n)
-				myFail := 0
-				for i := 0; i < n; i++ {
-					origin := sources[wrng.Intn(len(sources))]
-					key := keyFor(wrng)
-					t0 := time.Now()
-					if _, _, err := origin.Lookup(key); err != nil {
-						myFail++
-						continue
-					}
-					myLat = append(myLat, time.Since(t0).Microseconds())
-				}
-				mu.Lock()
-				latencies = append(latencies, myLat...)
-				failures += myFail
-				mu.Unlock()
-			}(w, n)
-		}
-		wg.Wait()
+		outs := drive(ov.Seed, "wan-"+tag, ops, func(rng *rand.Rand, _ int) outcome {
+			return lookup(sources[rng.Intn(len(sources))], keyFor(rng))
+		})
+		_, latencies, failures := successes(outs)
 		if len(latencies) == 0 {
 			return nil, failures, fmt.Errorf("livebench: WAN %s arm: every lookup failed", tag)
 		}
@@ -1033,21 +970,21 @@ func wanPhase(o Options, c *cluster.Cluster, nw *memnet.Network, topo *memnet.WA
 	recompute := func(nodes []*node.Node) {
 		for _, s := range nodes {
 			if _, err := s.RecomputeAux(); err != nil {
-				o.Logf("livebench: WAN aux recompute on %d: %v", s.ID(), err)
+				ov.Logf("livebench: WAN aux recompute on %d: %v", s.ID(), err)
 			}
 		}
 	}
 
 	// Hop-greedy arm: aux recomputed from the warmed observers with the
 	// default frequency-only objective.
-	recompute(c.Nodes)
-	hopLat, hopFail, err := measure("hop", o.WANOps, hotKey)
+	recompute(ov.Nodes)
+	hopLat, hopFail, err := measure("hop", r.WANOps, hotKey)
 	if err != nil {
 		return err
 	}
 	r.WANHopP50US = percentileInt64(hopLat, 50)
 	r.WANHopP99US = percentileInt64(hopLat, 99)
-	o.Logf("livebench: WAN hop-greedy arm: p50 %.0fus p99 %.0fus (%d failures)", r.WANHopP50US, r.WANHopP99US, hopFail)
+	ov.Logf("livebench: WAN hop-greedy arm: p50 %.0fus p99 %.0fus (%d failures)", r.WANHopP50US, r.WANHopP99US, hopFail)
 
 	// QoS arm: same workload, QoS flipped on the sources only. The
 	// sources are where the latency plane has data — their warm-up fed
@@ -1058,20 +995,20 @@ func wanPhase(o Options, c *cluster.Cluster, nw *memnet.Network, topo *memnet.WA
 	// link is probed ahead of the geometry's blind pick). Every
 	// intermediate node keeps the exact hop-greedy aux state of the
 	// previous arm, so the arms differ in the sources' policy alone —
-	// and the other ~n nodes don't burn this one-core machine's budget
+	// and the other ~n nodes don't burn the machine's CPU budget
 	// rerunning the QoS optimizer every aux tick, which would inflate
 	// the very wall-clock percentiles under measurement.
 	for _, s := range sources {
 		s.SetAuxQoS(true)
 	}
 	recompute(sources)
-	qosLat, qosFail, err := measure("qos", o.WANOps, hotKey)
+	qosLat, qosFail, err := measure("qos", r.WANOps, hotKey)
 	if err != nil {
 		return err
 	}
 	r.WANQoSP50US = percentileInt64(qosLat, 50)
 	r.WANQoSP99US = percentileInt64(qosLat, 99)
-	o.Logf("livebench: WAN QoS arm: p50 %.0fus p99 %.0fus (%d failures)", r.WANQoSP50US, r.WANQoSP99US, qosFail)
+	ov.Logf("livebench: WAN QoS arm: p50 %.0fus p99 %.0fus (%d failures)", r.WANQoSP50US, r.WANQoSP99US, qosFail)
 
 	// Churn arm: the QoS workload again, now with nodes crashing and
 	// rejoining at the aggregate rate n/meanLife of exponential
@@ -1083,7 +1020,7 @@ func wanPhase(o Options, c *cluster.Cluster, nw *memnet.Network, topo *memnet.WA
 	// for that id funnels into the reborn ring-of-one node, which then
 	// answers Done-with-self and claims the keyspace (soak sidesteps
 	// the same trap with delayed id recycling). The convergence oracle
-	// derives the ideal ring from c.Nodes at call time, so swapping the
+	// derives the ideal ring from ov.Nodes at call time, so swapping the
 	// slot's id keeps the post-phase re-converge honest. Sources are
 	// exempt (they hold the selection state under test); restarted
 	// nodes stay hop-greedy like every other intermediate.
@@ -1096,22 +1033,21 @@ func wanPhase(o Options, c *cluster.Cluster, nw *memnet.Network, topo *memnet.WA
 	churnWG.Add(1)
 	go func() {
 		defer churnWG.Done()
-		crng := rand.New(rand.NewSource(randx.DeriveSeed(o.Seed, "wan-churn")))
+		crng := rand.New(rand.NewSource(randx.DeriveSeed(ov.Seed, "wan-churn")))
 		// Fresh rejoin ids must dodge every id ever used for a node or a
 		// key — node ids for ring uniqueness, key ids because a node
 		// sitting exactly AT a key's position would shadow the
 		// position-aliased aux entries pointing at the key's owner.
-		used := make(map[uint64]bool, len(c.Nodes)+len(keys))
-		for _, n := range c.Nodes {
+		used := make(map[uint64]bool, len(ov.Nodes)+len(ov.keys))
+		for _, n := range ov.Nodes {
 			used[uint64(n.ID())] = true
 		}
-		for _, k := range keys {
+		for _, k := range ov.keys {
 			used[uint64(k)] = true
 		}
-		sp := id.NewSpace(o.Bits)
 		freshID := func() uint64 {
 			for {
-				x := crng.Uint64() % sp.Size()
+				x := crng.Uint64() % ov.Space.Size()
 				if !used[x] {
 					used[x] = true
 					return x
@@ -1119,24 +1055,23 @@ func wanPhase(o Options, c *cluster.Cluster, nw *memnet.Network, topo *memnet.WA
 			}
 		}
 		for {
-			gap := time.Duration(crng.ExpFloat64() * float64(o.WANChurnMeanLife) / float64(len(c.Nodes)))
+			gap := time.Duration(crng.ExpFloat64() * float64(wanChurnMeanLife) / float64(len(ov.Nodes)))
 			select {
 			case <-stopChurn:
 				return
 			case <-time.After(gap):
 			}
-			vi := crng.Intn(len(c.Nodes))
+			vi := crng.Intn(len(ov.Nodes))
 			if srcIdx[vi] || vi == 0 {
 				continue // the lifetime draw hit an exempt node
 			}
-			old := c.Nodes[vi]
-			old.Close()
+			ov.Nodes[vi].Close()
 			time.Sleep(150 * time.Millisecond) // downtime before the rejoin
 			x := freshID()
 			var nn *node.Node
 			var err error
 			for attempt := 0; attempt < 5; attempt++ {
-				if nn, err = node.Start(mkCfg(x)); err == nil {
+				if nn, err = node.Start(ov.nodeConfig(x)); err == nil {
 					break
 				}
 				time.Sleep(100 * time.Millisecond)
@@ -1155,11 +1090,11 @@ func wanPhase(o Options, c *cluster.Cluster, nw *memnet.Network, topo *memnet.WA
 				churnErr <- fmt.Errorf("livebench: WAN churn: rejoin %d: %w", x, err)
 				return
 			}
-			c.Nodes[vi] = nn
+			ov.Nodes[vi] = nn
 			restarts++
 		}
 	}()
-	churnLat, churnFail, err := measure("churn", o.WANOps, hotKey)
+	churnLat, churnFail, err := measure("churn", r.WANOps, hotKey)
 	close(stopChurn)
 	churnWG.Wait()
 	if err != nil {
@@ -1174,16 +1109,16 @@ func wanPhase(o Options, c *cluster.Cluster, nw *memnet.Network, topo *memnet.WA
 	r.WANChurnP50US = percentileInt64(churnLat, 50)
 	r.WANChurnP99US = percentileInt64(churnLat, 99)
 	r.WANChurnFailures = churnFail
-	o.Logf("livebench: WAN churn arm: %d restarts, p50 %.0fus p99 %.0fus (%d failures)",
+	ov.Logf("livebench: WAN churn arm: %d restarts, p50 %.0fus p99 %.0fus (%d failures)",
 		restarts, r.WANChurnP50US, r.WANChurnP99US, churnFail)
 
 	// Flash crowd: a cold mid-rank key is hammered by every source. The
 	// first burst pays routing (no aux pointer names a cold key); then
 	// each source actively measures the flash owner and recomputes, and
 	// the second burst shows what one QoS adaptation buys.
-	flash := keys[len(keys)/2]
+	flash := ov.keys[len(ov.keys)/2]
 	flashKey := func(*rand.Rand) id.ID { return flash }
-	flashLat, flashFail1, err := measure("flash", o.WANFlashReads, flashKey)
+	flashLat, flashFail1, err := measure("flash", r.WANFlashReads, flashKey)
 	if err != nil {
 		return err
 	}
@@ -1195,15 +1130,15 @@ func wanPhase(o Options, c *cluster.Cluster, nw *memnet.Network, topo *memnet.WA
 		}
 	}
 	recompute(sources)
-	adaptedLat, flashFail2, err := measure("flash-adapted", o.WANFlashReads, flashKey)
+	adaptedLat, flashFail2, err := measure("flash-adapted", r.WANFlashReads, flashKey)
 	if err != nil {
 		return err
 	}
 	r.WANFlashAdaptedP99US = percentileInt64(adaptedLat, 99)
-	o.Logf("livebench: WAN flash crowd on key %d: p99 %.0fus cold, %.0fus adapted",
+	ov.Logf("livebench: WAN flash crowd on key %d: p99 %.0fus cold, %.0fus adapted",
 		flash, r.WANFlashP99US, r.WANFlashAdaptedP99US)
 
-	for _, s := range c.Nodes {
+	for _, s := range ov.Nodes {
 		m := s.Metrics()
 		r.WANQoSSelects += m.AuxQoSSelects
 		r.WANQoSInfeasible += m.AuxQoSInfeasible
@@ -1214,9 +1149,33 @@ func wanPhase(o Options, c *cluster.Cluster, nw *memnet.Network, topo *memnet.WA
 		return fmt.Errorf("livebench: WAN phase: the QoS selector never engaged (bound %.1fms)", r.WANQoSBoundMS)
 	}
 
-	nw.SetTopology(nil)
-	if err := waitConverged(); err != nil {
+	ov.Net.SetTopology(nil)
+	if err := ov.converge(); err != nil {
 		return fmt.Errorf("livebench: re-converge after the WAN phase: %w", err)
+	}
+	return nil
+}
+
+// drainPhase waits out the stranded repair: keys surviving only as
+// replicas are re-homed by the replication loop within a few periods (a
+// replica must age 3 periods before it counts as stranded, then one
+// more round pushes it to the resolved owner). A key still stranded
+// after the drain window is a durability hole, and the bench fails
+// rather than record it.
+func drainPhase(ov *overlay, r *Result) error {
+	every := ov.replicateEvery()
+	deadline := time.Now().Add(8 * every)
+	for {
+		r.StrandedKeys = countStranded(ov.Nodes, ov.keys)
+		if r.StrandedKeys == 0 || time.Now().After(deadline) {
+			break
+		}
+		ov.Logf("livebench: %d keys stranded, waiting for repair", r.StrandedKeys)
+		time.Sleep(every / 2)
+	}
+	if r.StrandedKeys > 0 {
+		return fmt.Errorf("livebench: %s n=%d: %d keys still stranded after the repair drain window",
+			ov.Proto, ov.N, r.StrandedKeys)
 	}
 	return nil
 }

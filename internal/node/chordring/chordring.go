@@ -483,9 +483,6 @@ func (r *Ring) TableList() []wire.Contact {
 	return out
 }
 
-// TableSize counts distinct populated finger entries.
-func (r *Ring) TableSize() int { return len(r.TableList()) }
-
 // CoreIDs returns the node's core neighbor set — fingers and successor
 // list, self excluded — the N_s of eq. 1, fed to the selection
 // maintainer.

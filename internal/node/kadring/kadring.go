@@ -780,15 +780,6 @@ func (r *Ring) TableList() []wire.Contact {
 	return out
 }
 
-// TableSize counts the bucket contacts.
-func (r *Ring) TableSize() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	n := 0
-	r.eachContact(func(wire.Contact) { n++ })
-	return n
-}
-
 // CoreIDs returns every bucket contact's id — the core neighbor set N_s
 // of eq. 1, fed to the selection maintainer.
 func (r *Ring) CoreIDs() []id.ID {

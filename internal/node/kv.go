@@ -122,7 +122,7 @@ func (n *Node) Get(key id.ID) (GetResult, error) {
 	}
 	n.getsIssued.Add(1)
 	now := time.Now()
-	value, version, held := n.store.get(key, now)
+	value, version, held := n.store.get(key)
 	if held && n.rt.Owns(key) {
 		n.storeHits.Add(1)
 		return GetResult{Value: value, Version: version, Local: true}, nil
@@ -197,7 +197,7 @@ func (n *Node) handlePut(m *wire.Message, resp *wire.Message) {
 
 func (n *Node) handleGet(m *wire.Message, resp *wire.Message) {
 	n.getsServed.Add(1)
-	if value, version, owned, ok := n.store.info(m.Key, time.Now()); ok {
+	if value, version, owned, ok := n.store.info(m.Key); ok {
 		resp.OK, resp.Value, resp.Version = true, value, version
 		if !owned {
 			n.replicaServes.Add(1)
@@ -212,7 +212,7 @@ func (n *Node) handleGet(m *wire.Message, resp *wire.Message) {
 // its own distance metric; see wire.Message.Closest).
 func (n *Node) handleFindValue(m *wire.Message, resp *wire.Message) {
 	n.getsServed.Add(1)
-	if value, version, owned, ok := n.store.info(m.Key, time.Now()); ok {
+	if value, version, owned, ok := n.store.info(m.Key); ok {
 		resp.OK, resp.Value, resp.Version = true, value, version
 		if !owned {
 			n.replicaServes.Add(1)
@@ -273,7 +273,7 @@ func (n *Node) FindValue(key id.ID) (GetResult, error) {
 	}
 	n.getsIssued.Add(1)
 	now := time.Now()
-	if value, version, ok := n.store.get(key, now); ok {
+	if value, version, ok := n.store.get(key); ok {
 		n.storeHits.Add(1)
 		return GetResult{Value: value, Version: version, Local: true}, nil
 	}
@@ -327,7 +327,7 @@ func (n *Node) handleReplicateDigest(m *wire.Message, resp *wire.Message) {
 // or cache consultation. Introspection only (tests, tooling); use Get
 // to read through the overlay.
 func (n *Node) Item(key id.ID) (value []byte, version uint64, ok bool) {
-	return n.store.get(key, time.Now())
+	return n.store.get(key)
 }
 
 // ItemInfo is ItemDetail's snapshot of one locally stored item.
@@ -343,7 +343,7 @@ type ItemInfo struct {
 // ItemDetail is Item plus the copy's authority, again without network
 // traffic or cache consultation. Introspection only.
 func (n *Node) ItemDetail(key id.ID) (ItemInfo, bool) {
-	value, version, owned, ok := n.store.info(key, time.Now())
+	value, version, owned, ok := n.store.info(key)
 	if !ok {
 		return ItemInfo{}, false
 	}
@@ -371,7 +371,7 @@ func (n *Node) ReplicationRound() {
 	if !ok {
 		responsible = nil
 	}
-	promoted, handoff := n.store.reconcile(now, responsible)
+	promoted, handoff := n.store.reconcile(responsible)
 	n.promotions.Add(uint64(promoted))
 	n.demotions.Add(uint64(len(handoff)))
 	// Hand demoted items to their new owner. Loss is tolerable: the item

@@ -76,7 +76,7 @@ func TestKVAcrossRingAndCache(t *testing.T) {
 	if put.Owner.ID != b.ID() {
 		t.Fatalf("put owner %d, want %d", put.Owner.ID, b.ID())
 	}
-	if v, ver, ok := b.store.get(key, time.Now()); !ok || !bytes.Equal(v, []byte("routed")) || ver != 1 {
+	if v, ver, ok := b.store.get(key); !ok || !bytes.Equal(v, []byte("routed")) || ver != 1 {
 		t.Fatalf("owner store holds %q/%d/%t", v, ver, ok)
 	}
 
@@ -147,7 +147,7 @@ func TestKVReplicationSurvivesOwnerFailure(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if _, _, ok := c.store.get(key, time.Now()); ok {
+		if _, _, ok := c.store.get(key); ok {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -201,7 +201,7 @@ func TestGetOnReplicaHolderReadsOwner(t *testing.T) {
 	c.ReplicationRound()
 	deadline := time.Now().Add(5 * time.Second)
 	for { // the diff travels as one-way Replicate datagrams
-		v, ver, ok := a.store.get(key, time.Now())
+		v, ver, ok := a.store.get(key)
 		if ok && string(v) == "old" && ver == 1 {
 			break
 		}

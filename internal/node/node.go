@@ -150,16 +150,10 @@ type Config struct {
 	// StoreCapacity bounds the item store, owned and replica items
 	// together (default 4096). A full store rejects new keys.
 	StoreCapacity int
-	// StoreTTL expires store items that have not been written or
-	// replica-refreshed within it (default 0: items never expire).
-	StoreTTL time.Duration
 	// ItemCacheCapacity bounds the local cache of item copies picked up
 	// on the GET path — the paper's peer caching of hot items (default
 	// 256; negative disables the cache).
 	ItemCacheCapacity int
-	// ItemCacheTTL bounds how stale a cached copy may be served
-	// (default 30s).
-	ItemCacheTTL time.Duration
 
 	// Listen opens the node's datagram endpoint (default ListenUDP,
 	// the real-socket provider). Tests swap in memnet to run whole
@@ -249,17 +243,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.StoreCapacity < 0 {
 		return c, fmt.Errorf("node: negative store capacity %d", c.StoreCapacity)
 	}
-	if c.StoreTTL < 0 {
-		return c, fmt.Errorf("node: negative store TTL %v", c.StoreTTL)
-	}
 	if c.ItemCacheCapacity == 0 {
 		c.ItemCacheCapacity = 256
-	}
-	if c.ItemCacheTTL == 0 {
-		c.ItemCacheTTL = 30 * time.Second
-	}
-	if c.ItemCacheTTL < 0 {
-		return c, fmt.Errorf("node: negative item cache TTL %v", c.ItemCacheTTL)
 	}
 	if c.Listen == nil {
 		c.Listen = ListenUDP
@@ -344,9 +329,6 @@ type Metrics struct {
 	ItemsOwned, ItemsReplica, ItemsCached int
 	// Alpha is the lookup driver's live probe concurrency.
 	Alpha int
-	// StoreShards is the item store's lock-domain count (1: one map
-	// under one mutex).
-	StoreShards int
 }
 
 // Node is a running protocol participant. Create with Start, stop with
@@ -477,9 +459,9 @@ func Start(cfg Config) (*Node, error) {
 		window:   freq.NewShared(auxWindowBuckets),
 	}
 	n.auxQoS.Store(cfg.AuxQoS)
-	n.store = newStore(cfg.StoreCapacity, cfg.StoreTTL)
+	n.store = newStore(cfg.StoreCapacity)
 	if cfg.ItemCacheCapacity > 0 {
-		n.cache = itemcache.NewTTL[cachedCopy](cfg.ItemCacheCapacity, cfg.ItemCacheTTL)
+		n.cache = itemcache.NewTTL[cachedCopy](cfg.ItemCacheCapacity, itemCacheTTL)
 	}
 	// The transport exists before the factory runs (so the geometry can
 	// capture a working Host) but starts reading only after, so no
@@ -629,7 +611,7 @@ func (n *Node) Predecessor() (wire.Contact, bool) { return n.rt.Predecessor() }
 func (n *Node) Fingers() []wire.Contact { return n.rt.TableList() }
 
 // TableSize counts the populated long-range table entries.
-func (n *Node) TableSize() int { return n.rt.TableSize() }
+func (n *Node) TableSize() int { return len(n.rt.TableList()) }
 
 // Aux returns a copy of the current auxiliary neighbor set.
 func (n *Node) Aux() []wire.Contact { return slices.Clone(n.rt.Aux()) }
@@ -685,7 +667,6 @@ func (n *Node) Metrics() Metrics {
 		ItemsReplica:      replicas,
 		ItemsCached:       cached,
 		Alpha:             n.cfg.LookupAlpha,
-		StoreShards:       storeShards,
 	}
 }
 
@@ -980,6 +961,9 @@ func (n *Node) SetAuxQoS(on bool) { n.auxQoS.Store(on) }
 
 // AuxQoSEnabled reports whether QoS-aware aux selection is active.
 func (n *Node) AuxQoSEnabled() bool { return n.auxQoS.Load() }
+
+// itemCacheTTL bounds how stale a cached copy may be served.
+const itemCacheTTL = 30 * time.Second
 
 // auxWindowBuckets is how many aux ticks the frequency window spans:
 // an observation counts toward this many selections, then ages out.

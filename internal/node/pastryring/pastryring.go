@@ -493,19 +493,6 @@ func (r *Ring) TableList() []wire.Contact {
 	return out
 }
 
-// TableSize counts the populated prefix-table rows.
-func (r *Ring) TableSize() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	n := 0
-	for _, ok := range r.hasRow {
-		if ok {
-			n++
-		}
-	}
-	return n
-}
-
 // CoreIDs returns the node's core neighbor set — prefix-table rows and
 // both leaf-set sides, self excluded — the N_s of eq. 1, fed to the
 // selection maintainer.

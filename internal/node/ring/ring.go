@@ -175,8 +175,6 @@ type Routing interface {
 
 	// TableList returns the populated long-range table entries.
 	TableList() []wire.Contact
-	// TableSize is len(TableList()) without the copy, for metrics.
-	TableSize() int
 
 	// CoreIDs returns the geometry's core neighbor set N_s (eq. 1 of
 	// the paper) — every peer the table routes through, self excluded —

@@ -34,7 +34,7 @@ type storedItem struct {
 	sum  uint64
 	kind itemKind
 	// refreshed is the wall-clock time of the last write or replica
-	// refresh; the optional store TTL expires items against it.
+	// refresh; stranded repair judges a replica's staleness by it.
 	refreshed time.Time
 }
 
@@ -76,15 +76,10 @@ type store struct {
 	mu       sync.Mutex
 	items    map[id.ID]*storedItem
 	capacity int
-	ttl      time.Duration // 0 = items never expire
 }
 
-// storeShards is the store's lock-domain count, still reported by
-// Metrics.StoreShards.
-const storeShards = 1
-
-func newStore(capacity int, ttl time.Duration) *store {
-	return &store{items: make(map[id.ID]*storedItem), capacity: capacity, ttl: ttl}
+func newStore(capacity int) *store {
+	return &store{items: make(map[id.ID]*storedItem), capacity: capacity}
 }
 
 // putOwned applies a local or remote PUT: the node stores the value as
@@ -120,7 +115,7 @@ func (s *store) putOwned(key id.ID, value []byte, now time.Time) (version uint64
 // applyReplica merges a replica push. A strictly newer version always
 // wins (value and version update, kind is preserved — an owner learning
 // of a newer write keeps ownership); an equal or older version only
-// refreshes the TTL of an existing replica. New keys are stored as
+// refreshes an existing replica's stamp. New keys are stored as
 // replicas unless the store is full, in which case the push is dropped —
 // the owner's next anti-entropy round will retry, and by then either
 // capacity or membership has changed.
@@ -150,8 +145,8 @@ func (s *store) applyReplica(key id.ID, value []byte, version uint64, now time.T
 }
 
 // needFromDigest answers one anti-entropy digest entry: does this node
-// need the owner to ship (key, version)? Yes when the key is absent
-// (or expired), the local copy is older, or the version matches but the
+// need the owner to ship (key, version)? Yes when the key is absent,
+// the local copy is older, or the version matches but the
 // checksum does not (a divergent copy — corruption, but 8 bytes to
 // detect and one push to heal). When the local copy is current, the
 // digest doubles as the owner's liveness signal for the key: the
@@ -162,7 +157,7 @@ func (s *store) needFromDigest(key id.ID, version, sum uint64, now time.Time) bo
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	it, exists := s.items[key]
-	if !exists || s.expiredLocked(it, now) {
+	if !exists {
 		return true
 	}
 	if it.version < version || (it.version == version && it.sum != sum) {
@@ -174,39 +169,30 @@ func (s *store) needFromDigest(key id.ID, version, sum uint64, now time.Time) bo
 
 // get returns the stored value and version for key, owned and replica
 // alike — a replica answering a GET is the point of keeping it.
-func (s *store) get(key id.ID, now time.Time) (value []byte, version uint64, ok bool) {
+func (s *store) get(key id.ID) (value []byte, version uint64, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	it, exists := s.items[key]
-	if !exists || s.expiredLocked(it, now) {
+	if !exists {
 		return nil, 0, false
 	}
 	return it.value, it.version, true
 }
 
-func (s *store) expiredLocked(it *storedItem, now time.Time) bool {
-	return s.ttl > 0 && now.Sub(it.refreshed) >= s.ttl
-}
-
-// reconcile is the replication ticker's bookkeeping pass: expired items
-// are dropped, replicas of keys this node has become responsible for are
-// promoted to owned, and owned items whose keys have moved out of the
+// reconcile is the replication ticker's bookkeeping pass: replicas of
+// keys this node has become responsible for are promoted to owned, and owned items whose keys have moved out of the
 // node's range are demoted to replicas and returned for handoff to the
 // new owner. responsible reports whether a key falls in the node's
 // current ownership range; a node whose predecessor is unknown cannot
 // judge responsibility and must pass nil, which skips promotion and
 // demotion for the round (data is never reclassified on guesswork).
-func (s *store) reconcile(now time.Time, responsible func(id.ID) bool) (promoted int, handoff []ownedItem) {
+func (s *store) reconcile(responsible func(id.ID) bool) (promoted int, handoff []ownedItem) {
+	if responsible == nil {
+		return 0, nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for key, it := range s.items {
-		if s.expiredLocked(it, now) {
-			delete(s.items, key)
-			continue
-		}
-		if responsible == nil {
-			continue
-		}
 		switch {
 		case it.kind == kindReplica && responsible(key):
 			it.kind = kindOwned
@@ -241,10 +227,9 @@ func (s *store) owned() []ownedItem {
 // with a digest confirmation now — so a replica this stale has no owner
 // maintaining it: the signature of a key stranded by a failed handoff
 // (owner crashed after demotion, push lost across a partition).
-// Returned items have their refreshed stamp bumped, which both paces
-// the repair (a key is re-examined one staleness period later, not
-// every tick) and keeps the store TTL from reaping data the repair loop
-// is actively re-homing.
+// Returned items have their refreshed stamp bumped, which paces the
+// repair: a key is re-examined one staleness period later, not every
+// tick.
 func (s *store) staleReplicas(now time.Time, olderThan time.Duration, max int) []ownedItem {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -266,11 +251,11 @@ func (s *store) staleReplicas(now time.Time, olderThan time.Duration, max int) [
 // introspection: checkers counting owners across a cluster need to
 // distinguish an owned copy from a replica, which get deliberately
 // hides.
-func (s *store) info(key id.ID, now time.Time) (value []byte, version uint64, owned, ok bool) {
+func (s *store) info(key id.ID) (value []byte, version uint64, owned, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	it, exists := s.items[key]
-	if !exists || s.expiredLocked(it, now) {
+	if !exists {
 		return nil, 0, false, false
 	}
 	return it.value, it.version, it.kind == kindOwned, true

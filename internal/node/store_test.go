@@ -10,11 +10,11 @@ import (
 	"peercache/internal/wire"
 )
 
-// The capacity bound: new keys are rejected once full, overwrites of
-// known keys always succeed, and expiry frees capacity.
+// The capacity bound: new keys are rejected once full and overwrites of
+// known keys always succeed.
 func TestStoreCapacityGlobalAcrossShards(t *testing.T) {
 	now := time.Now()
-	s := newStore(4, 0)
+	s := newStore(4)
 	keys := []id.ID{0x0001, 0x2001, 0x4001, 0x6001}
 	for _, k := range keys {
 		if _, ok := s.putOwned(k, []byte("v"), now); !ok {
@@ -31,27 +31,16 @@ func TestStoreCapacityGlobalAcrossShards(t *testing.T) {
 	if v, ok := s.putOwned(keys[0], []byte("v2"), now); !ok || v != 2 {
 		t.Fatalf("overwrite at capacity: version %d ok %t, want 2 true", v, ok)
 	}
-
-	// Expiry during reconcile frees capacity for new keys.
-	st := newStore(1, 10*time.Millisecond)
-	st.putOwned(0x0001, []byte("v"), now)
-	if _, ok := st.putOwned(0x2001, []byte("v"), now); ok {
-		t.Fatal("second key accepted in capacity-1 store")
-	}
-	st.reconcile(now.Add(20*time.Millisecond), nil)
-	if _, ok := st.putOwned(0x2001, []byte("v"), now.Add(20*time.Millisecond)); !ok {
-		t.Fatal("capacity not reclaimed after expiry")
-	}
 }
 
 // needFromDigest is the replica half of the anti-entropy protocol:
 // absent, older, and checksum-divergent copies are requested; a current
-// copy is not, and the digest match refreshes its TTL exactly as a
+// copy is not, and the digest match refreshes its stamp exactly as a
 // redundant full push used to — the liveness signal that keeps healthy
 // replicas out of the stranded-repair net.
 func TestStoreNeedFromDigest(t *testing.T) {
 	now := time.Now()
-	s := newStore(10, time.Second)
+	s := newStore(10)
 	val := []byte("value")
 	sum := valueSum(val)
 
@@ -68,20 +57,16 @@ func TestStoreNeedFromDigest(t *testing.T) {
 	if !s.needFromDigest(42, 1, sum+1, now) {
 		t.Error("checksum-divergent copy not requested")
 	}
-	// Expired copies count as absent.
-	if !s.needFromDigest(42, 1, sum, now.Add(2*time.Second)) {
-		t.Error("expired copy not requested")
-	}
 
-	// The TTL refresh: a matching digest at t+900ms must keep the copy
-	// alive past its original t+1s expiry.
-	s2 := newStore(10, time.Second)
+	// The refresh: a matching digest at t+900ms must keep the copy out
+	// of a 1s staleness scan at t+1800ms.
+	s2 := newStore(10)
 	s2.applyReplica(7, val, 1, now)
 	if s2.needFromDigest(7, 1, sum, now.Add(900*time.Millisecond)) {
 		t.Fatal("current copy requested at 900ms")
 	}
-	if _, _, ok := s2.get(7, now.Add(1800*time.Millisecond)); !ok {
-		t.Error("digest match did not refresh the TTL")
+	if stale := s2.staleReplicas(now.Add(1800*time.Millisecond), time.Second, 8); len(stale) != 0 {
+		t.Errorf("digest match did not refresh the stamp: %d stale", len(stale))
 	}
 }
 
@@ -90,7 +75,7 @@ func TestStoreNeedFromDigest(t *testing.T) {
 // the race detector. Correctness assertions are minimal (no torn
 // values, capacity never exceeded); the detector carries the test.
 func TestStoreConcurrentAcrossShards(t *testing.T) {
-	s := newStore(4096, time.Minute)
+	s := newStore(4096)
 	const (
 		workers = 8
 		keysPer = 64
@@ -110,13 +95,13 @@ func TestStoreConcurrentAcrossShards(t *testing.T) {
 					s.putOwned(k, val, now)
 					s.applyReplica(k+1, val, uint64(r+1), now)
 					s.needFromDigest(k, uint64(r), valueSum(val), now)
-					if v, _, ok := s.get(k, now); ok && len(v) == 0 {
+					if v, _, ok := s.get(k); ok && len(v) == 0 {
 						t.Error("torn read: empty value")
 						return
 					}
 				}
 				// Whole-store passes interleaved with the writes.
-				s.reconcile(now, func(id.ID) bool { return true })
+				s.reconcile(func(id.ID) bool { return true })
 				s.owned()
 				s.counts()
 				s.staleReplicas(now, time.Hour, 8)
