@@ -46,7 +46,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("p2pnode", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
-		addr        = fs.String("addr", "127.0.0.1:0", "UDP listen address")
+		addr        = fs.String("addr", "127.0.0.1:0", "UDP listen address, also the address told to peers, so a wildcard bind (0.0.0.0 or ::) is refused")
 		bootstrap   = fs.String("bootstrap", "", "address of any overlay member; empty starts a new ring")
 		proto       = fs.String("proto", "chord", "routing geometry: chord, pastry, or kademlia")
 		bits        = fs.Uint("bits", 32, "identifier length in bits")

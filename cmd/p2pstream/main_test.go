@@ -26,7 +26,6 @@ func TestPutCatRoundTripAgainstLiveNodes(t *testing.T) {
 			Addr:           "127.0.0.1:0",
 			StabilizeEvery: 50 * time.Millisecond,
 			RPCTimeout:     250 * time.Millisecond,
-			StoreCapacity:  2048,
 		})
 		if err != nil {
 			t.Fatal(err)

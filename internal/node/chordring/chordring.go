@@ -10,6 +10,7 @@ package chordring
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"peercache/internal/core"
@@ -333,15 +334,17 @@ func (r *Ring) HandleRequest(m *wire.Message, resp *wire.Message) bool {
 // notifier, else the predecessor); ask the successor for its
 // predecessor and, while the answer names a closer live node, adopt it
 // and ask it in turn, at most NeighborListLen nodes a round; notify the
-// successor so found, rebuild the successor list from the last answer's
-// list, and check the predecessor's liveness. Every adoption and the
-// predecessor check go through Host.Alive, so a node that notified
-// this one within the round costs no ping: the notify is a request,
-// and the runtime marked it heard. Each round also ages the notifier
-// set by one generation, so a notifier is at most two rounds old. In
-// steady state the only notifier is the predecessor, which never lies
-// between this node and its successor, and the successor's answer is
-// this node: the round sends one get-pred and one notify, as before.
+// successor so found, and rebuild the successor list from the last
+// answer's list. Every adoption goes through Host.Alive, so a node that
+// notified this one within the round costs no ping: the notify is a
+// request, and the runtime marked it heard. A failed get-pred or notify
+// ends the round and evicts nothing: the runtime suspects the target
+// and its check decides (as it checks the predecessor every round).
+// Each round also ages the notifier set by one generation, so a
+// notifier is at most two rounds old. In steady state the only notifier
+// is the predecessor, which never lies between this node and its
+// successor, and the successor's answer is this node: the round sends
+// one get-pred and one notify, as before.
 func (r *Ring) Stabilize() {
 	r.mu.Lock()
 	s := r.succs[0]
@@ -364,7 +367,6 @@ func (r *Ring) Stabilize() {
 	for asked := 1; ; asked++ {
 		var err error
 		if resp, err = r.h.Call(s.Addr, &wire.Message{Type: wire.TGetPred}); err != nil {
-			r.dropSuccessor(s.ID)
 			return
 		}
 		p := resp.Pred
@@ -380,7 +382,6 @@ func (r *Ring) Stabilize() {
 		s = p
 	}
 	if _, err := r.h.Call(cand.Addr, &wire.Message{Type: wire.TNotify}); err != nil {
-		r.dropSuccessor(cand.ID)
 		return
 	}
 	// Successor-list refresh: our successor first, then its list.
@@ -391,15 +392,6 @@ func (r *Ring) Stabilize() {
 	}
 	list = append(list, resp.Succs...)
 	r.setSuccs(list)
-
-	if p, ok := r.Predecessor(); ok && p.ID != r.self.ID && p.Addr != "" && !r.h.Alive(p.Addr) {
-		r.mu.Lock()
-		if r.pred.ID == p.ID { // a notify may have replaced it meanwhile
-			r.pred, r.hasPred = wire.Contact{}, false
-		}
-		r.forgetNotifierLocked(p.ID)
-		r.mu.Unlock()
-	}
 }
 
 // RepairTable refreshes RepairBatch fingers per call (one by default),
@@ -444,14 +436,23 @@ func (r *Ring) Heal(live wire.Contact) {
 	}
 }
 
-// DropPeer retires an unreachable peer from the successor list and the
-// auxiliary set (fingers heal on their own round-robin refresh).
+// DropPeer retires an unreachable peer from the successor list (an
+// emptied list falls back on self, a ring of one until maintenance
+// re-integrates the node), the predecessor pointer, the notifier set
+// and the auxiliary set. Fingers heal on their round-robin refresh.
 func (r *Ring) DropPeer(x id.ID) {
 	r.RemoveAux(x)
-	r.dropSuccessor(x)
 	r.mu.Lock()
-	r.forgetNotifierLocked(x)
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	r.succs = slices.DeleteFunc(r.succs, func(s wire.Contact) bool { return s.ID == x })
+	if len(r.succs) == 0 {
+		r.succs = append(r.succs, r.self)
+	}
+	if r.hasPred && r.pred.ID == x {
+		r.pred, r.hasPred = wire.Contact{}, false
+	}
+	delete(r.notifiers[0], x)
+	delete(r.notifiers[1], x)
 }
 
 // Successors returns a copy of the successor list.
@@ -578,24 +579,6 @@ func (r *Ring) adoptSuccessor(c wire.Contact) {
 	r.h.Note(c)
 }
 
-// dropSuccessor removes a dead successor, falling back on the rest of
-// the list (and on self as the last resort, a ring of one until the
-// maintenance loops re-integrate the node).
-func (r *Ring) dropSuccessor(dead id.ID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := r.succs[:0]
-	for _, s := range r.succs {
-		if s.ID != dead {
-			out = append(out, s)
-		}
-	}
-	if len(out) == 0 {
-		out = append(out, r.self)
-	}
-	r.succs = out
-}
-
 // notify processes a notify(c): record c as a notifier of this round,
 // and adopt it as predecessor if there is none or c sits between the
 // current predecessor and self.
@@ -659,13 +642,6 @@ func (r *Ring) noteNotifierLocked(c wire.Contact) {
 		r.notifiers[0] = make(map[id.ID]wire.Contact)
 	}
 	r.notifiers[0][c.ID] = c
-}
-
-// forgetNotifierLocked drops a node found dead from the notifier set,
-// so no get-pred answer names it. The caller holds mu.
-func (r *Ring) forgetNotifierLocked(x id.ID) {
-	delete(r.notifiers[0], x)
-	delete(r.notifiers[1], x)
 }
 
 // setFinger installs (or clears, when ok is false) finger i.

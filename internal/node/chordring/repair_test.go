@@ -14,7 +14,8 @@ import (
 // the first ring member clockwise of it. Call goes to the call hook, and
 // fails when there is none. Alive stands in for the runtime's liveness
 // record: an address in heard answers without I/O, any other costs one
-// TPing through Call.
+// TPing through Call, and a failed ping drops the peer at the address
+// ("mem/<id>") from rt, as the runtime's check does.
 type stubHost struct {
 	space    id.Space
 	self     wire.Contact
@@ -22,6 +23,7 @@ type stubHost struct {
 	resolves int
 	call     func(addr string, req *wire.Message) (*wire.Message, error)
 	heard    map[string]bool
+	rt       *Ring
 }
 
 func (h *stubHost) Self() wire.Contact { return h.self }
@@ -38,8 +40,14 @@ func (h *stubHost) Alive(addr string) bool {
 	if h.heard[addr] {
 		return true
 	}
-	_, err := h.Call(addr, &wire.Message{Type: wire.TPing})
-	return err == nil
+	if _, err := h.Call(addr, &wire.Message{Type: wire.TPing}); err == nil {
+		return true
+	}
+	var x id.ID
+	if _, err := fmt.Sscanf(addr, "mem/%d", &x); err == nil {
+		h.rt.DropPeer(x)
+	}
+	return false
 }
 func (h *stubHost) Resolve(target id.ID) (wire.Contact, int, error) {
 	h.resolves++
@@ -61,7 +69,8 @@ func newTestRing(t testing.TB, h *stubHost, batch int) *Ring {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rt.(*Ring)
+	h.rt = rt.(*Ring)
+	return h.rt
 }
 
 // TestRepairTableBatch: one RepairTable call refreshes RepairBatch

@@ -8,76 +8,6 @@ import (
 	"peercache/internal/wire"
 )
 
-// TestStabilizePredecessorLivenessRidesNotify: the predecessor's check
-// goes through Host.Alive, so a predecessor the runtime heard from
-// within the round — its TNotify is a request, and the runtime stamps
-// every request's sender heard — costs no ping; one not heard is
-// pinged exactly once, and a failed ping clears the predecessor.
-func TestStabilizePredecessorLivenessRidesNotify(t *testing.T) {
-	space := id.NewSpace(8)
-	self := wire.Contact{ID: 10, Addr: "mem/10"}
-	succ := wire.Contact{ID: 80, Addr: "mem/80"}
-	pred := wire.Contact{ID: 220, Addr: "mem/220"}
-	predAlive := true
-	var predPings, otherPings int
-	h := &stubHost{space: space, self: self, heard: map[string]bool{}}
-	h.call = func(addr string, req *wire.Message) (*wire.Message, error) {
-		switch req.Type {
-		case wire.TGetPred:
-			// The successor already points back at this node, so the
-			// round adopts nobody new and checks nobody but pred.
-			return &wire.Message{Type: wire.TGetPredResp, From: succ, Pred: self, HasPred: true}, nil
-		case wire.TNotify:
-			return &wire.Message{Type: wire.TNotifyAck, From: succ}, nil
-		case wire.TPing:
-			if addr != pred.Addr {
-				otherPings++
-				return &wire.Message{Type: wire.TPong}, nil
-			}
-			predPings++
-			if !predAlive {
-				return nil, fmt.Errorf("stub: %s is down", addr)
-			}
-			return &wire.Message{Type: wire.TPong, From: pred}, nil
-		}
-		return nil, fmt.Errorf("stub: unexpected request type %d", req.Type)
-	}
-	r := newTestRing(t, h, 1)
-	r.adoptSuccessor(succ)
-	if !r.HandleRequest(&wire.Message{Type: wire.TNotify, From: pred}, &wire.Message{}) {
-		t.Fatal("TNotify not handled")
-	}
-
-	h.heard[pred.Addr] = true
-	for round := 1; round <= 2; round++ {
-		r.Stabilize()
-		if predPings != 0 {
-			t.Fatalf("heard round %d pinged the predecessor %d times, want 0", round, predPings)
-		}
-	}
-
-	delete(h.heard, pred.Addr)
-	r.Stabilize()
-	if predPings != 1 {
-		t.Fatalf("round without hearing the predecessor pinged it %d times, want 1", predPings)
-	}
-	if p, ok := r.Predecessor(); !ok || p.ID != pred.ID {
-		t.Fatalf("live predecessor lost: %v %t", p, ok)
-	}
-
-	predAlive = false
-	r.Stabilize()
-	if predPings != 2 {
-		t.Fatalf("round without hearing the predecessor pinged it %d times in total, want 2", predPings)
-	}
-	if p, ok := r.Predecessor(); ok {
-		t.Fatalf("failed ping left predecessor %v in place", p)
-	}
-	if otherPings != 0 {
-		t.Fatalf("rounds pinged %d contacts other than the predecessor", otherPings)
-	}
-}
-
 // mc is the test contact for id x.
 func mc(x id.ID) wire.Contact { return wire.Contact{ID: x, Addr: fmt.Sprintf("mem/%d", x)} }
 

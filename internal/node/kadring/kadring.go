@@ -11,7 +11,8 @@
 // bucket's least-recently-seen entry, promoting the newest candidate
 // only if the check fails (HandleRequest runs on the read loop and must
 // not block on I/O, so it can never ping-before-evict inline). The check
-// is Host.Alive, which pings only a contact not heard from recently.
+// is Host.Alive, which pings only a contact not heard from recently, and
+// a failed one has already evicted the entry in the runtime.
 //
 // Lookups ride the runtime's α-parallel iterative driver with the
 // Kademlia wire pair: LookupRequest is TFindNode, and a TFindNodeResp
@@ -513,7 +514,6 @@ func (r *Ring) Stabilize() {
 	if near, ok := r.nearestContact(); ok {
 		resp, err := r.h.Call(near.Addr, &wire.Message{Type: wire.TFindNode, Target: r.self.ID})
 		if err != nil {
-			r.DropPeer(near.ID)
 			return
 		}
 		r.learn(resp.From)
@@ -572,11 +572,11 @@ func (r *Ring) promoteLocked(i uint) {
 }
 
 // checkLRU is ping-before-evict for bucket i's least-recently-seen
-// entry: a dead one leaves (DropPeer refills the slot), a live one
-// moves to most-recently-seen. It reports whether lru was alive.
+// entry: a dead one has left when Alive returns (the runtime's DropPeer
+// refills the slot), a live one moves to most-recently-seen. It reports
+// whether lru was alive.
 func (r *Ring) checkLRU(i uint, lru wire.Contact) bool {
 	if !r.h.Alive(lru.Addr) {
-		r.DropPeer(lru.ID)
 		return false
 	}
 	r.mu.Lock()
@@ -667,7 +667,6 @@ func (r *Ring) refreshWalk(target id.ID) {
 		frontier = append(frontier[:best], frontier[best+1:]...)
 		resp, err := r.h.Call(c.Addr, &wire.Message{Type: wire.TFindNode, Target: target})
 		if err != nil {
-			r.DropPeer(c.ID)
 			continue
 		}
 		r.learn(resp.From)
@@ -730,18 +729,10 @@ func (r *Ring) DropPeer(x id.ID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	i := r.bucketIndex(x)
-	drop := func(s []wire.Contact) []wire.Contact {
-		out := s[:0]
-		for _, c := range s {
-			if c.ID != x {
-				out = append(out, c)
-			}
-		}
-		return out
-	}
-	r.buckets[i] = drop(r.buckets[i])
-	r.repl[i] = drop(r.repl[i])
-	r.pending = drop(r.pending)
+	gone := func(c wire.Contact) bool { return c.ID == x }
+	r.buckets[i] = slices.DeleteFunc(r.buckets[i], gone)
+	r.repl[i] = slices.DeleteFunc(r.repl[i], gone)
+	r.pending = slices.DeleteFunc(r.pending, gone)
 	r.promoteLocked(i)
 }
 

@@ -19,7 +19,8 @@ import (
 // done-at-self short-circuit is exactly what an empty bucket triggers.
 // Alive stands in for the runtime's liveness record: an address in
 // heard answers without I/O, any other costs one TPing Call, counted
-// in pings.
+// in pings, and a failed ping drops the peer at the address
+// ("fake/<id>") from the caller, as the runtime's check does.
 type fakeHost struct {
 	t     testing.TB
 	self  wire.Contact
@@ -65,8 +66,14 @@ func (h *fakeHost) Alive(addr string) bool {
 		return true
 	}
 	h.pings[addr]++
-	_, err := h.Call(addr, &wire.Message{Type: wire.TPing})
-	return err == nil
+	if _, err := h.Call(addr, &wire.Message{Type: wire.TPing}); err == nil {
+		return true
+	}
+	var x id.ID
+	if _, err := fmt.Sscanf(addr, "fake/%d", &x); err == nil {
+		h.net[h.self.Addr].DropPeer(x)
+	}
+	return false
 }
 
 // newTestRing builds one Ring on the shared in-memory net.

@@ -111,13 +111,14 @@ func TestKVAcrossRingAndCache(t *testing.T) {
 func TestKVPutRejectedWhenStoreFull(t *testing.T) {
 	space := id.NewSpace(16)
 	nodes := startCluster(t, space, []uint64{100, 40000}, func(c *Config) {
-		if c.ID == 40000 {
-			c.StoreCapacity = 1
-		}
 		c.ReplicateEvery = -1 // keep the stores exactly as the PUTs leave them
 	})
 	waitConverged(t, space, nodes, 10*time.Second)
 	a := nodes[0]
+	owner := nodes[1].store // empty: replication is off and nothing was put
+	owner.mu.Lock()
+	owner.capacity = 1 // under the lock: the read loop is serving
+	owner.mu.Unlock()
 
 	if _, err := a.Put(1000, []byte("first")); err != nil { // owner: 40000
 		t.Fatalf("first put: %v", err)

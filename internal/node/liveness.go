@@ -1,13 +1,14 @@
 package node
 
-// The liveness plane (DESIGN.md §6): every liveness check of the
-// runtime and of every geometry is Alive, which pings only a contact not
-// heard from within one StabilizeEvery — the paper's auxiliary pointers
-// "ride the same ping process as core ones" (Section III). A failed
-// lookup probe makes its contact a suspect, and only a failed check in
-// the next stabilize round evicts it.
+// The liveness plane (DESIGN.md §6) owns every eviction: a failed RPC
+// (a lookup probe, or a call that timed out) makes a suspect, and only
+// a failed Alive evicts, through Routing.DropPeer, which no geometry
+// calls. Each stabilize round checks the aux set, the suspects and the
+// predecessor: the paper's auxiliary pointers "ride the same ping
+// process as core ones" (Section III).
 
 import (
+	"errors"
 	"time"
 
 	"peercache/internal/id"
@@ -20,10 +21,16 @@ var epoch = time.Now()
 // stampNow is the current heard stamp.
 func stampNow() int64 { return int64(time.Since(epoch)) }
 
-// alive is ring.Host.Alive: true without I/O when the contact at addr
-// was heard within StabilizeEvery, else whether one ping (under the
-// node's timeout and retry policy) is answered.
-func (n *Node) alive(addr string) bool {
+// alive is ring.Host.Alive: check under the node's retry policy.
+func (n *Node) alive(addr string) bool { return n.check(addr, n.cfg.RPCRetries) }
+
+// check reports true without I/O when the contact at addr was heard
+// within StabilizeEvery, else whether one ping (RPCTimeout per attempt,
+// the given retries, no suspect) is answered. A failed ping evicts
+// every contact cached at addr (an owner-aliased aux pointer a peer
+// passed on shares its owner's address); the records stay, for the
+// heal probe.
+func (n *Node) check(addr string, retries int) bool {
 	n.livenessChecks.Add(1)
 	heard := int64(0)
 	n.addrMu.RLock()
@@ -35,65 +42,82 @@ func (n *Node) alive(addr string) bool {
 		return true
 	}
 	n.livenessPings.Add(1)
-	_, err := n.call(addr, &wire.Message{Type: wire.TPing})
-	return err == nil
+	_, err := n.tr.call(addr, &wire.Message{Type: wire.TPing}, n.cfg.RPCTimeout, retries)
+	if err == nil {
+		return true
+	}
+	if errors.Is(err, ErrClosed) {
+		return false // shutting down: no verdict
+	}
+	var dead []id.ID
+	n.addrMu.RLock()
+	for x, rec := range n.contacts {
+		if rec.addr == addr {
+			dead = append(dead, x)
+		}
+	}
+	n.addrMu.RUnlock()
+	for _, x := range dead {
+		n.rt.DropPeer(x)
+	}
+	if len(dead) > 0 {
+		n.evictions.Add(1)
+	}
+	return false
 }
 
-// suspect is the lookup driver's hook for a failed probe: c loses its
+// suspect is the hook for a failed RPC: the contact at addr loses its
 // heard stamp, so its confirmation pings, and waits for the next
 // stabilize round.
-func (n *Node) suspect(c wire.Contact) {
+func (n *Node) suspect(addr string) {
 	n.addrMu.RLock()
-	if rec := n.contactAtLocked(c.Addr); rec != nil {
+	if rec := n.contactAtLocked(addr); rec != nil {
 		rec.heard.Store(0)
 	}
 	n.addrMu.RUnlock()
 	n.suspectMu.Lock()
-	n.suspects[c.ID] = c.Addr
+	n.suspects[addr] = struct{}{}
 	n.suspectMu.Unlock()
 }
 
-// checkLiveness checks the aux set and the suspects, once per distinct
-// address: aliased entries for one owner's hot keys, a direct entry to
-// it, or a suspect that is also an aux entry share an address, and that
-// node answers for all of them. A dead aux entry leaves the aux set; a
-// dead suspect leaves the routing state.
+// checkLiveness checks the aux set, the suspects and the predecessor,
+// once per distinct address: aliased entries for one owner's hot keys,
+// a direct entry to it, or a suspect that is also an aux entry share an
+// address, and that node answers for all of them. A dead aux entry
+// also leaves the aux set with its caches. A suspect's check is a
+// single attempt: the RPC that made it a suspect spent the retries.
 func (n *Node) checkLiveness() {
 	verdict := make(map[string]bool)
-	alive := func(addr string) bool {
+	alive := func(addr string, retries int) bool {
 		ok, checked := verdict[addr]
 		if !checked {
-			ok = n.alive(addr)
+			ok = n.check(addr, retries)
 			verdict[addr] = ok
 		}
 		return ok
 	}
 	for _, a := range n.rt.Aux() {
-		if alive(a.Addr) {
+		if alive(a.Addr, n.cfg.RPCRetries) {
 			continue
 		}
 		n.rt.RemoveAux(a.ID)
-		// Also retire the caches the entry was installed from, or the
-		// very next recompute would re-select the id, find the same dead
-		// address, and reinstall the entry — an evict/reinstall loop that
-		// never converges. Dropping the caches bounds eviction: once a
-		// recompute runs after this round, the id either resolves to a
-		// live address learned since or is skipped. (The aux id is a node
-		// id for directly selected entries — forget its contact-cache
-		// address — and a key position for owner-aliased ones —
-		// invalidate its owner hint; the wrong-side call of each pair is
-		// a no-op.)
+		// Without its caches the next recompute cannot reinstall the
+		// entry at the same dead address, a loop that never converges.
+		// The id is a node id for a direct entry (forget its address) or
+		// a key position for an aliased one (invalidate its owner hint).
 		n.forgetAddr(a.ID, a.Addr)
 		n.ownerHints.Invalidate(a.ID)
 	}
 	n.suspectMu.Lock()
 	suspects := n.suspects
-	n.suspects = make(map[id.ID]string)
+	n.suspects = make(map[string]struct{})
 	n.suspectMu.Unlock()
-	for x, addr := range suspects {
-		if !alive(addr) {
-			n.rt.DropPeer(x)
-			n.suspectEvictions.Add(1)
-		}
+	for addr := range suspects {
+		alive(addr, 0)
+	}
+	// Usually free: chord hears its predecessor's notify every round,
+	// and pastry and kademlia probe theirs.
+	if p, ok := n.rt.Predecessor(); ok && p.ID != n.self.ID && p.Addr != "" {
+		alive(p.Addr, n.cfg.RPCRetries)
 	}
 }

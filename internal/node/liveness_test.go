@@ -96,7 +96,7 @@ func TestAliveSkipsHeardContact(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.cfg.StabilizeEvery = time.Hour
-	a.suspect(b.Contact())
+	a.suspect(b.Addr())
 	if !a.alive(b.Addr()) || bTap.got.Load() != 3 {
 		t.Fatalf("suspected contact: %d pings in total, want 3", bTap.got.Load())
 	}
@@ -150,8 +150,8 @@ func TestLookupTimeoutsKeepSuccessorList(t *testing.T) {
 	if got := contactIDs(a.Successors()); !slices.Equal(got, want) {
 		t.Fatalf("successors after the confirming round %v, want %v", got, want)
 	}
-	if m := a.Metrics(); m.SuspectEvictions != 0 {
-		t.Fatalf("%d suspects evicted, want 0", m.SuspectEvictions)
+	if m := a.Metrics(); m.Evictions != 0 {
+		t.Fatalf("%d suspects evicted, want 0", m.Evictions)
 	}
 }
 
@@ -172,7 +172,73 @@ func TestFailedSuspectDroppedWithinOneRound(t *testing.T) {
 	if got := contactIDs(a.Successors()); slices.Contains(got, dead.ID()) {
 		t.Fatalf("successors after one round %v still hold the dead suspect %d", got, dead.ID())
 	}
-	if m := a.Metrics(); m.SuspectEvictions != 1 {
-		t.Fatalf("%d suspects evicted, want 1", m.SuspectEvictions)
+	if m := a.Metrics(); m.Evictions != 1 {
+		t.Fatalf("%d suspects evicted, want 1", m.Evictions)
+	}
+}
+
+// A stabilize round whose get-pred to the successor loses every attempt
+// — the successor is fine, the datagrams were lost — only makes it a
+// suspect: the round's own check finds it alive and evicts nothing.
+// Evicting on the failed get-pred would shorten the successor list on
+// every such loss, and a ring of one is a few losses away.
+func TestLostGetPredKeepsSuccessorList(t *testing.T) {
+	nodes, nw := suspectRing(t)
+	a := nodes[0]
+	a.cfg.DisableHealProbe = true // no probe may re-teach a dropped successor
+	want := []id.ID{9000, 17000, 26000}
+	if got := contactIDs(a.Successors()); !slices.Equal(got, want) {
+		t.Fatalf("setup: successors %v, want %v", got, want)
+	}
+	nw.DropNext(a.Addr(), nodes[1].Addr(), 1+a.cfg.RPCRetries)
+	a.stabilize()
+	if got := contactIDs(a.Successors()); !slices.Equal(got, want) {
+		t.Fatalf("successors after the lost get-pred %v, want %v", got, want)
+	}
+	if m := a.Metrics(); m.Evictions != 0 {
+		t.Fatalf("%d contacts evicted, want 0", m.Evictions)
+	}
+}
+
+// The predecessor's check is the runtime's, once per round: a
+// predecessor heard within the period — its notify is a request — costs
+// no ping, one not heard costs one, and one that fails it is evicted,
+// which clears the pointer.
+func TestPredecessorCheckRidesNotify(t *testing.T) {
+	nodes, _ := suspectRing(t)
+	a, pred := nodes[0], nodes[len(nodes)-1]
+	if p, ok := a.Predecessor(); !ok || p.ID != pred.ID() {
+		t.Fatalf("setup: predecessor %v %t, want %d", p, ok, pred.ID())
+	}
+	a.cfg.StabilizeEvery = time.Hour
+	a.checkLiveness()   // settles any suspect left from the set-up
+	pred.rt.Stabilize() // notifies a
+	m0 := a.Metrics()
+	pings := func() uint64 { return a.Metrics().LivenessPings - m0.LivenessPings }
+
+	a.checkLiveness()
+	if got := pings(); got != 0 {
+		t.Fatalf("heard predecessor: %d pings, want 0", got)
+	}
+
+	a.cfg.StabilizeEvery = time.Nanosecond // the notify is now stale
+	a.checkLiveness()
+	if got := pings(); got != 1 {
+		t.Fatalf("unheard predecessor: %d pings, want 1", got)
+	}
+	if p, ok := a.Predecessor(); !ok || p.ID != pred.ID() {
+		t.Fatalf("live predecessor lost: %v %t", p, ok)
+	}
+
+	pred.Crash()
+	a.checkLiveness()
+	if got := pings(); got != 2 {
+		t.Fatalf("dead predecessor: %d pings in total, want 2", got)
+	}
+	if p, ok := a.Predecessor(); ok {
+		t.Fatalf("failed check left predecessor %v in place", p)
+	}
+	if got := a.Metrics().Evictions - m0.Evictions; got != 1 {
+		t.Fatalf("%d contacts evicted, want 1", got)
 	}
 }

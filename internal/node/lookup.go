@@ -39,14 +39,14 @@ type lookup struct {
 	maxHops int
 	// note records every contact a response names; rtt and rto read the
 	// smoothed RTT and the RTO of the contact at an address, for
-	// proximity routing and the hedge delay; suspect receives every
-	// contact whose probe failed. Any may be nil: without rtt the race
-	// never routes by proximity, and without rto it hedges after
-	// timeout/4.
+	// proximity routing and the hedge delay; suspect receives the
+	// address of every probe that failed. Any may be nil: without rtt
+	// the race never routes by proximity, and without rto it hedges
+	// after timeout/4.
 	note    func(wire.Contact)
 	rtt     func(addr string) (time.Duration, bool)
 	rto     func(addr string) (time.Duration, bool)
-	suspect func(wire.Contact)
+	suspect func(addr string)
 }
 
 // newLookup builds a driver with cfg's lookup policy and no hooks.
@@ -282,7 +282,7 @@ func (l *lookup) race(target id.ID, seed []wire.Contact, valueMode, qos bool) (r
 		lastPeer = r.peer
 		if r.err != nil {
 			if l.suspect != nil {
-				l.suspect(r.peer)
+				l.suspect(r.peer.Addr)
 			}
 			lastErr = fmt.Errorf("node: lookup %d at %v: %w", target, r.peer, r.err)
 			launch()

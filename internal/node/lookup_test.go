@@ -117,8 +117,8 @@ func TestLookupErrorPrecedence(t *testing.T) {
 		// times out. The suspect hook runs on the race loop, the test's
 		// own goroutine.
 		l := driver(t, nw, &fakeRouter{}, 3)
-		var suspects []wire.Contact
-		l.suspect = func(c wire.Contact) { suspects = append(suspects, c) }
+		var suspects []string
+		l.suspect = func(addr string) { suspects = append(suspects, addr) }
 		out, err := l.race(target, []wire.Contact{dead, peers[0].c}, false, false)
 		if !errors.Is(err, ErrTimeout) {
 			t.Fatalf("err %v, want the dead probe's timeout", err)
@@ -126,7 +126,7 @@ func TestLookupErrorPrecedence(t *testing.T) {
 		if out.hops != 3 || peers[2].hits.Load() != 0 {
 			t.Fatalf("%d probes, third chain peer hit %d times: want the budget of 3 spent", out.hops, peers[2].hits.Load())
 		}
-		if len(suspects) != 1 || suspects[0] != dead {
+		if len(suspects) != 1 || suspects[0] != dead.Addr {
 			t.Fatalf("suspected %v, want only the dead contact", suspects)
 		}
 	})

@@ -44,6 +44,7 @@ package node
 import (
 	"errors"
 	"fmt"
+	"net"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -68,7 +69,8 @@ type Config struct {
 	// (default "127.0.0.1:0", an ephemeral UDP port under ListenUDP).
 	Addr string
 	// Advertise overrides the address told to peers (default: the
-	// bound address). Needed when binding a wildcard address.
+	// bound address). Required when binding a wildcard address: Start
+	// refuses to advertise an unspecified IP.
 	Advertise string
 
 	// NewRing selects the routing geometry (default chordring.New;
@@ -147,9 +149,6 @@ type Config struct {
 	// off items whose keys have left its range (default 5s; negative
 	// disables the ticker, ReplicationRound can still be called).
 	ReplicateEvery time.Duration
-	// StoreCapacity bounds the item store, owned and replica items
-	// together (default 4096). A full store rejects new keys.
-	StoreCapacity int
 	// ItemCacheCapacity bounds the local cache of item copies picked up
 	// on the GET path — the paper's peer caching of hot items (default
 	// 256; negative disables the cache).
@@ -237,12 +236,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.ReplicateEvery == 0 {
 		c.ReplicateEvery = 5 * time.Second
 	}
-	if c.StoreCapacity == 0 {
-		c.StoreCapacity = 4096
-	}
-	if c.StoreCapacity < 0 {
-		return c, fmt.Errorf("node: negative store capacity %d", c.StoreCapacity)
-	}
 	if c.ItemCacheCapacity == 0 {
 		c.ItemCacheCapacity = 256
 	}
@@ -322,8 +315,8 @@ type Metrics struct {
 	RTTContacts int
 
 	// Liveness plane (liveness.go): Alive calls, the ones that had to
-	// ping, and lookup suspects evicted after a failed check.
-	LivenessChecks, LivenessPings, SuspectEvictions uint64
+	// ping, and the failed ones that evicted a contact.
+	LivenessChecks, LivenessPings, Evictions uint64
 
 	// Gauges: current item counts by authority.
 	ItemsOwned, ItemsReplica, ItemsCached int
@@ -364,10 +357,10 @@ type Node struct {
 	// every entry has a backing contacts entry.
 	byAddr map[string]id.ID
 
-	// suspects maps the contacts of failed lookup probes, id → address,
-	// until the next stabilize round checks them (liveness.go).
+	// suspects holds the addresses of failed RPCs until the next
+	// stabilize round checks them (liveness.go).
 	suspectMu sync.Mutex
-	suspects  map[id.ID]string
+	suspects  map[string]struct{}
 
 	// Data plane (kv.go): the authoritative item store, the bounded
 	// cache of copies picked up on the GET path (nil when disabled),
@@ -400,7 +393,7 @@ type Node struct {
 	auxQoSInfeasible atomic.Uint64
 	rttSamples       atomic.Uint64
 
-	livenessChecks, livenessPings, suspectEvictions atomic.Uint64
+	livenessChecks, livenessPings, evictions atomic.Uint64
 
 	putsIssued, getsIssued  atomic.Uint64
 	putsServed, getsServed  atomic.Uint64
@@ -446,6 +439,10 @@ func Start(cfg Config) (*Node, error) {
 	if adv == "" {
 		adv = conn.LocalAddr()
 	}
+	if host, _, err := net.SplitHostPort(adv); err == nil && (host == "" || net.ParseIP(host).IsUnspecified()) {
+		conn.Close()
+		return nil, fmt.Errorf("node: advertise address %q is unspecified: set Config.Advertise to a routable address", adv)
+	}
 	if len(adv) > wire.MaxAddrLen {
 		conn.Close()
 		return nil, fmt.Errorf("node: advertise address %q exceeds %d bytes", adv, wire.MaxAddrLen)
@@ -455,11 +452,11 @@ func Start(cfg Config) (*Node, error) {
 		self:     wire.Contact{ID: cfg.ID, Addr: adv},
 		contacts: make(map[id.ID]*contact),
 		byAddr:   make(map[string]id.ID),
-		suspects: make(map[id.ID]string),
+		suspects: make(map[string]struct{}),
 		window:   freq.NewShared(auxWindowBuckets),
 	}
 	n.auxQoS.Store(cfg.AuxQoS)
-	n.store = newStore(cfg.StoreCapacity)
+	n.store = newStore(storeCapacity)
 	if cfg.ItemCacheCapacity > 0 {
 		n.cache = itemcache.NewTTL[cachedCopy](cfg.ItemCacheCapacity, itemCacheTTL)
 	}
@@ -662,7 +659,7 @@ func (n *Node) Metrics() Metrics {
 		RTTContacts:       len(n.ContactRTTs()),
 		LivenessChecks:    n.livenessChecks.Load(),
 		LivenessPings:     n.livenessPings.Load(),
-		SuspectEvictions:  n.suspectEvictions.Load(),
+		Evictions:         n.evictions.Load(),
 		ItemsOwned:        owned,
 		ItemsReplica:      replicas,
 		ItemsCached:       cached,
@@ -671,9 +668,14 @@ func (n *Node) Metrics() Metrics {
 }
 
 // call is the node's RPC entry point with the configured timeout/retry
-// policy.
+// policy. A call whose every attempt timed out makes its target a
+// suspect (liveness.go).
 func (n *Node) call(addr string, req *wire.Message) (*wire.Message, error) {
-	return n.tr.call(addr, req, n.cfg.RPCTimeout, n.cfg.RPCRetries)
+	resp, err := n.tr.call(addr, req, n.cfg.RPCTimeout, n.cfg.RPCRetries)
+	if errors.Is(err, ErrTimeout) {
+		n.suspect(addr)
+	}
+	return resp, err
 }
 
 // Ping sends one liveness probe to addr and waits for the pong. Beyond

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -25,6 +26,31 @@ func fastConfig(space id.Space, x id.ID) Config {
 		FixFingersEvery: 10 * time.Millisecond,
 		RPCTimeout:      250 * time.Millisecond,
 		RPCRetries:      2,
+	}
+}
+
+// A wildcard bind reports an unspecified address, which would tell
+// every peer to reach this node at the peer's own host: Start refuses to
+// advertise it unless Config.Advertise names a routable address.
+func TestStartRefusesUnspecifiedAdvertise(t *testing.T) {
+	space := id.NewSpace(16)
+	for _, addr := range []string{"0.0.0.0:0", ":0"} {
+		n, err := Start(Config{Space: space, ID: 1, Addr: addr, Scheduler: &parked{}})
+		if err == nil {
+			n.Close()
+			t.Fatalf("Start on %q advertised %q", addr, n.Addr())
+		}
+		if !strings.Contains(err.Error(), "Config.Advertise") {
+			t.Fatalf("Start on %q: %v, want an error naming Config.Advertise", addr, err)
+		}
+		n, err = Start(Config{Space: space, ID: 1, Addr: addr, Advertise: "127.0.0.1:7000", Scheduler: &parked{}})
+		if err != nil {
+			t.Fatalf("Start on %q with Advertise set: %v", addr, err)
+		}
+		if n.Addr() != "127.0.0.1:7000" {
+			t.Fatalf("advertised %q, want the configured 127.0.0.1:7000", n.Addr())
+		}
+		n.Close()
 	}
 }
 

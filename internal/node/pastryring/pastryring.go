@@ -15,8 +15,9 @@
 // with it, and a joiner announces itself by firing one-way probes at
 // everyone it learned of). Gossiped contacts are checked alive before
 // adoption, but only those the placement rule would keep, each at most
-// once per stabilize round. Liveness checks go through Host.Alive.
-// Lookups ride the runtime's protocol-neutral TFindSucc.
+// once per stabilize round. Liveness checks go through Host.Alive, and
+// the runtime evicts what fails one. Lookups ride the runtime's
+// protocol-neutral TFindSucc.
 //
 // Aux selection uses the prefix distance metric (SelectAux: the paper's
 // O(nkb) greedy, or the Section IV-D DP under delay bounds).
@@ -25,6 +26,7 @@ package pastryring
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"peercache/internal/core"
@@ -365,8 +367,9 @@ func (r *Ring) HandleRequest(m *wire.Message, resp *wire.Message) bool {
 }
 
 // Stabilize runs one leaf-set maintenance round: probe every leaf with
-// TLeafProbe (dead leaves drop out of all state; survivors' leaf sets
-// are merged), then trade prefix-table rows with one random peer.
+// TLeafProbe (survivors' leaf sets are merged; a failed probe evicts
+// nothing, the runtime suspects the leaf and its check decides), then
+// trade prefix-table rows with one random peer.
 // Gossiped candidates may themselves be stale, so adopt checks an
 // unknown one alive before learning it — otherwise dead nodes keep
 // circulating between peers that drop and re-learn them. The round
@@ -377,7 +380,6 @@ func (r *Ring) Stabilize() {
 	for _, lf := range r.leafList(wire.Contact{}) {
 		resp, err := r.h.Call(lf.Addr, &wire.Message{Type: wire.TLeafProbe})
 		if err != nil {
-			r.DropPeer(lf.ID)
 			continue
 		}
 		r.learn(resp.From)
@@ -388,7 +390,6 @@ func (r *Ring) Stabilize() {
 	if p, ok := r.randomPeer(); ok {
 		resp, err := r.h.Call(p.Addr, &wire.Message{Type: wire.TRowExchange})
 		if err != nil {
-			r.DropPeer(p.ID)
 			return
 		}
 		r.learn(resp.From)
@@ -399,10 +400,10 @@ func (r *Ring) Stabilize() {
 }
 
 // RepairTable maintains one prefix-table row per call, round-robin: a
-// populated row is checked alive (and cleared if dead); an empty one is
-// refilled by resolving an id in the row's subtree — self with bit l
-// flipped — and adopting the answer when its common prefix length is
-// exactly l.
+// populated row is checked alive (a failed check clears it); an empty
+// one is refilled by resolving an id in the row's subtree — self with
+// bit l flipped — and adopting the answer when its common prefix length
+// is exactly l.
 func (r *Ring) RepairTable() {
 	r.mu.Lock()
 	l := r.nextRow
@@ -411,9 +412,7 @@ func (r *Ring) RepairTable() {
 	cur := r.rows[l]
 	r.mu.Unlock()
 	if has {
-		if !r.h.Alive(cur.Addr) {
-			r.DropPeer(cur.ID)
-		}
+		r.h.Alive(cur.Addr)
 		return
 	}
 	target := r.space.SetBit(r.self.ID, l, 1-r.space.Bit(r.self.ID, l))
@@ -443,17 +442,9 @@ func (r *Ring) DropPeer(x id.ID) {
 	r.RemoveAux(x)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	drop := func(side []wire.Contact) []wire.Contact {
-		out := side[:0]
-		for _, c := range side {
-			if c.ID != x {
-				out = append(out, c)
-			}
-		}
-		return out
-	}
-	r.leafCW = drop(r.leafCW)
-	r.leafCCW = drop(r.leafCCW)
+	gone := func(c wire.Contact) bool { return c.ID == x }
+	r.leafCW = slices.DeleteFunc(r.leafCW, gone)
+	r.leafCCW = slices.DeleteFunc(r.leafCCW, gone)
 	for l, ok := range r.hasRow {
 		if ok && r.rows[l].ID == x {
 			r.hasRow[l] = false

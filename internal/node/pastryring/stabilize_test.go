@@ -13,12 +13,16 @@ import (
 // tests. A Call dispatches to the addressed ring's HandleRequest exactly
 // as the runtime's read loop would, answering the runtime-owned TPing
 // itself; an address in dead (or one nobody listens at) fails every
-// Call, as a crashed peer does once the runtime's retries run out.
-// Alive stands in for the runtime's liveness record: an address in
-// heard answers without I/O, any other costs one TPing Call.
+// Call, as a crashed peer does once the runtime's retries run out, and
+// the next lose[addr] Calls to addr fail, as ones whose every attempt
+// was lost do. Alive stands in for the runtime's liveness record: an
+// address in heard answers without I/O, any other costs one TPing Call,
+// and a failed ping drops the peer at the address ("fake/<id>") from
+// the caller, as the runtime's check does.
 type fakeNet struct {
 	rings map[string]*Ring
 	dead  map[string]bool
+	lose  map[string]int
 	heard map[string]bool
 	calls map[fakeCall]int // Calls issued, by caller, callee and type
 	// resolve answers every Host.Resolve on the net; nil fails them.
@@ -31,7 +35,7 @@ type fakeCall struct {
 }
 
 func newFakeNet() *fakeNet {
-	return &fakeNet{rings: make(map[string]*Ring), dead: make(map[string]bool), heard: make(map[string]bool), calls: make(map[fakeCall]int)}
+	return &fakeNet{rings: make(map[string]*Ring), dead: make(map[string]bool), lose: make(map[string]int), heard: make(map[string]bool), calls: make(map[fakeCall]int)}
 }
 
 // count sums the Calls r issued of type typ, to the address to or, when
@@ -62,6 +66,10 @@ func (h *fakeHost) Call(addr string, req *wire.Message) (*wire.Message, error) {
 	peer, ok := h.net.rings[addr]
 	if !ok || h.net.dead[addr] {
 		return nil, fmt.Errorf("fakehost: %s does not answer", addr)
+	}
+	if h.net.lose[addr] > 0 {
+		h.net.lose[addr]--
+		return nil, fmt.Errorf("fakehost: every attempt to %s was lost", addr)
 	}
 	req.From = h.self
 	resp := &wire.Message{From: peer.self}
@@ -100,8 +108,14 @@ func (h *fakeHost) Alive(addr string) bool {
 	if h.net.heard[addr] {
 		return true
 	}
-	_, err := h.Call(addr, &wire.Message{Type: wire.TPing})
-	return err == nil
+	if _, err := h.Call(addr, &wire.Message{Type: wire.TPing}); err == nil {
+		return true
+	}
+	var x id.ID
+	if _, err := fmt.Sscanf(addr, "fake/%d", &x); err == nil {
+		h.net.rings[h.self.Addr].DropPeer(x)
+	}
+	return false
 }
 
 // addRing builds one Ring with leaf sides of 4 on the fake net.
@@ -239,6 +253,29 @@ func TestStabilizePingsDeadCandidateOncePerRound(t *testing.T) {
 	cw, ccw := x.Leaves()
 	if listsContact(append(cw, ccw...), ghost.self.ID) || listsContact(x.TableList(), ghost.self.ID) {
 		t.Fatalf("dead candidate %d was adopted", ghost.self.ID)
+	}
+}
+
+// TestStabilizeKeepsLeafWhoseProbeFailed: a leaf probe whose every
+// attempt was lost evicts nothing: the leaf stays in the leaf set,
+// unpinged, for the runtime's check of the suspect to judge, which finds
+// a live leaf alive.
+func TestStabilizeKeepsLeafWhoseProbeFailed(t *testing.T) {
+	net, rs := convergedRing(t)
+	x := rs[0]
+	cw, ccw := x.Leaves()
+	lf := ccw[len(ccw)-1] // probed last, so no later leaf's reply re-teaches it
+	net.lose[lf.Addr] = 1
+	x.Stabilize()
+	if got := net.count(x, wire.TLeafProbe, lf.Addr); got != 1 {
+		t.Fatalf("leaf %d probed %d times, want 1", lf.ID, got)
+	}
+	gotCW, gotCCW := x.Leaves()
+	if fmt.Sprint(gotCW, gotCCW) != fmt.Sprint(cw, ccw) {
+		t.Fatalf("leaves after a failed probe %v %v, want %v %v", gotCW, gotCCW, cw, ccw)
+	}
+	if got := net.count(x, wire.TPing, ""); got != 0 {
+		t.Fatalf("round pinged %d contacts, want none", got)
 	}
 }
 

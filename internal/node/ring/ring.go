@@ -7,8 +7,9 @@
 // decisions only it can make: the next hop toward a key, whether this
 // node is responsible for a key, which wire messages each maintenance
 // tick sends, and how incoming protocol requests mutate the table.
-// A geometry asks Host.Alive whether an entry lives and sends no ping of
-// its own.
+// A geometry asks Host.Alive whether an entry lives, sends no ping of
+// its own, and evicts nothing: a failed RPC makes its target a suspect,
+// and only a failed Alive evicts, in the runtime.
 //
 // Three geometries implement the contract today: chordring (successor
 // list + finger table + `(pred, self]` ownership, the default),
@@ -56,7 +57,9 @@ type Host interface {
 	Note(c wire.Contact)
 	// Alive reports whether the contact at addr lives: true without
 	// I/O when it was heard from within one StabilizeEvery, else
-	// whether it answers one ping under Call's policy.
+	// whether it answers one ping under Call's policy. A false answer
+	// has already evicted the contact through Routing.DropPeer, so the
+	// caller must not hold its own lock.
 	Alive(addr string) bool
 }
 
@@ -163,7 +166,9 @@ type Routing interface {
 	// probe; the geometry folds it back in if it improves the table.
 	Heal(live wire.Contact)
 
-	// DropPeer retires an unreachable peer from all routing state.
+	// DropPeer retires an unreachable peer from all routing state. Only
+	// the runtime calls it, when a liveness check fails; a geometry
+	// never does, not even on a failed RPC.
 	DropPeer(x id.ID)
 
 	// Successors returns the contacts that replicas of owned items go

@@ -78,6 +78,10 @@ type store struct {
 	capacity int
 }
 
+// storeCapacity bounds a node's item store, owned and replica items
+// together.
+const storeCapacity = 4096
+
 func newStore(capacity int) *store {
 	return &store{items: make(map[id.ID]*storedItem), capacity: capacity}
 }
