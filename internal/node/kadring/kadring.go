@@ -31,6 +31,16 @@
 // gossiped candidates — otherwise dead nodes circulate forever between
 // peers that evict and re-learn them from each other's answers.
 //
+// A bucket refresh (RepairTable) is Kademlia's: a FIND_NODE walk for a
+// random id in the bucket's subtree, whose answers fill the table. The
+// walk reads every answer, an owner's Done answer included, whose
+// closest list names the region's members; it stops at the first
+// answer that names an owner outside the region, because a region with
+// any member owns every target in its subtree, and it stops once the
+// bucket is full or the frontier names no region member the bucket
+// lacks. So a cold bucket fills in a sweep or two, and a walk that can
+// learn nothing costs one probe.
+//
 // Aux selection reuses the Pastry selectors: the residual distance
 // after a first hop to w is the index of the target's k-bucket at w,
 // b − LCP(w, target) — the same form as the Pastry prefix distance, so
@@ -609,6 +619,8 @@ func (r *Ring) nearestContact() (wire.Contact, bool) {
 // self-healing: a bucket holding most but not all of a small region
 // gets no new contacts from workload traffic once lookups stop, and
 // only a walk through the known region members can surface the rest.
+// The walk (refreshWalk) costs one probe when the region is empty or
+// the bucket already holds all of it.
 func (r *Ring) RepairTable() {
 	r.mu.Lock()
 	i := r.nextBucket
@@ -643,7 +655,25 @@ const refreshProbes = 4
 // rather than a local resolve. Hearsay stays gated: answers' closest
 // lists only enter the walk frontier, and a frontier contact reaches a
 // bucket only through its own direct reply.
+//
+// The walk keeps three rules, for the region of target — bucket i's
+// subtree, i = bucketIndex(target):
+//  1. Every answer feeds the frontier, a Done one too. The owner of a
+//     target in the region, answering for itself, still lists the
+//     contacts it knows nearest the target, and those are the region's
+//     members; a proxy Found (an exact hit) is probed directly next.
+//  2. A Done answer that names an owner outside the region, or self,
+//     ends the walk: the region is empty. Every member of the region
+//     shares i+1 leading bits with target and every non-member fewer,
+//     so any member is XOR-closer to target than any non-member, and
+//     the owner of a target in a non-empty region is one of its
+//     members. (The answer is only as fresh as the answerer's table; a
+//     region it has not learned yet is asked again next sweep.)
+//  3. The walk ends once the bucket is full, or once no frontier
+//     contact in the region is still unknown: probing on could only
+//     name again what the bucket already holds.
 func (r *Ring) refreshWalk(target id.ID) {
+	region := r.bucketIndex(target)
 	seen := map[id.ID]bool{r.self.ID: true}
 	var frontier []wire.Contact
 	push := func(c wire.Contact) {
@@ -671,20 +701,35 @@ func (r *Ring) refreshWalk(target id.ID) {
 		}
 		r.learn(resp.From)
 		if resp.Done && !resp.Found.IsZero() {
-			if resp.Found.ID == resp.From.ID || resp.Found.ID == r.self.ID {
-				// The closest node answered for itself (just learned), or
-				// the subtree really is empty and the walk came back to us.
-				return
+			if resp.Found.ID == r.self.ID || r.bucketIndex(resp.Found.ID) != region {
+				return // rule 2: the region is empty
 			}
-			// Resolved by proxy: probe the named node directly next so it
-			// enters a bucket on its own authority.
-			push(resp.Found)
-			continue
+			push(resp.Found) // rule 1
 		}
 		for _, cc := range resp.Closest {
 			push(cc)
 		}
+		if r.settled(region, frontier) {
+			return // rule 3
+		}
 	}
+}
+
+// settled reports whether a refresh walk for bucket i can learn nothing
+// more: the bucket is full, or every frontier contact in its region is
+// already known.
+func (r *Ring) settled(i uint, frontier []wire.Contact) bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if len(r.buckets[i]) >= r.bucketSize {
+		return true
+	}
+	for _, c := range frontier {
+		if r.bucketIndex(c.ID) == i && !r.knownLocked(c.ID) {
+			return false
+		}
+	}
+	return true
 }
 
 // refreshTargetLocked returns a uniformly random id in bucket i's

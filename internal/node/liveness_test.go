@@ -105,6 +105,44 @@ func TestAliveSkipsHeardContact(t *testing.T) {
 	}
 }
 
+// A find-value answer can carry an owner-aliased aux pointer — {key
+// position, owner's address} — and the lookup driver notes it. That
+// hearsay must not take the owner's address in the index: the hedge RTO
+// still reads the owner's estimate there, and Alive within the period
+// still answers from the owner's heard stamp, without a ping.
+func TestAliasedNoteKeepsOwnerRecord(t *testing.T) {
+	space := id.NewSpace(16)
+	nw := memnet.New(1)
+	defer nw.CloseAll()
+	a, _ := tappedNode(t, nw, space, 1000)
+	b, bTap := tappedNode(t, nw, space, 40000)
+
+	if _, err := a.call(b.Addr(), &wire.Message{Type: wire.TFindSucc, Target: 5}); err != nil {
+		t.Fatal(err)
+	}
+	want, ok := a.rttAt(b.Addr())
+	if !ok {
+		t.Fatal("the owner's reply left no estimate at its address")
+	}
+	a.lk.note(wire.Contact{ID: 39000, Addr: b.Addr()}) // the aliased pointer
+	if addr, ok := a.addrOf(39000); !ok || addr != b.Addr() {
+		t.Fatalf("aliased pointer cached at %q (%t), want %s", addr, ok, b.Addr())
+	}
+	if got, ok := a.rttAt(b.Addr()); !ok || got != want {
+		t.Errorf("estimate at the owner's address after the alias: %+v (%t), want %+v", got, ok, want)
+	}
+	a.cfg.StabilizeEvery = time.Hour // the node is parked
+	if !a.alive(b.Addr()) || bTap.got.Load() != 0 {
+		t.Fatalf("owner heard within the period: %d pings after the alias, want none", bTap.got.Load())
+	}
+	// A heard note still moves the index: an id that answers from the
+	// address owns it.
+	a.note(wire.Contact{ID: 39000, Addr: b.Addr()}, true)
+	if _, ok := a.rttAt(b.Addr()); ok {
+		t.Fatal("a heard note left the index at the old id")
+	}
+}
+
 // suspectRing is an 8-node parked chord ring whose node 500 keeps three
 // successors (9000, 17000, 26000) and races α = 3 with 40 ms probe
 // attempts, one retry each. A lookup from 500 for key 30000 (owner

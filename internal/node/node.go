@@ -351,10 +351,11 @@ type Node struct {
 	// estimate and heard time. The heal probe samples it.
 	addrMu   sync.RWMutex
 	contacts map[id.ID]*contact
-	// byAddr indexes contacts by address (address → the id last cached
-	// at it), so the lookup race can find the estimate behind an aliased
-	// aux contact. It changes only in setAddrLocked and forgetAddr:
-	// every entry has a backing contacts entry.
+	// byAddr indexes contacts by address (address → the id that last
+	// sent from it, or the first id cached at it while none had), so the
+	// lookup race can find the estimate behind an aliased aux contact.
+	// It changes only in setAddrLocked and forgetAddr: every entry has a
+	// backing contacts entry.
 	byAddr map[string]id.ID
 
 	// suspects holds the addresses of failed RPCs until the next
@@ -703,10 +704,11 @@ func (n *Node) note(c wire.Contact, heard bool) {
 	// contacts), so check under the read lock first — at cluster scale
 	// the unconditional write lock here serialized the read loops of
 	// every node in the process. The heard stamp is atomic for the same
-	// reason.
+	// reason. A heard note also takes the address in the index, which
+	// hearsay may have left with another id (setAddrLocked).
 	n.addrMu.RLock()
 	rec := n.contacts[c.ID]
-	known := rec != nil && rec.addr == c.Addr
+	known := rec != nil && rec.addr == c.Addr && (!heard || n.byAddr[c.Addr] == c.ID)
 	if known && heard {
 		rec.heard.Store(stampNow())
 	}
@@ -715,7 +717,7 @@ func (n *Node) note(c wire.Contact, heard bool) {
 		return
 	}
 	n.addrMu.Lock()
-	rec = n.setAddrLocked(c.ID, c.Addr)
+	rec = n.setAddrLocked(c.ID, c.Addr, heard)
 	if heard {
 		rec.heard.Store(stampNow())
 	}
@@ -723,9 +725,14 @@ func (n *Node) note(c wire.Contact, heard bool) {
 }
 
 // setAddrLocked caches addr as x's address and indexes it, dropping the
-// index entry of x's previous address, and returns x's record. The
-// caller holds addrMu.
-func (n *Node) setAddrLocked(x id.ID, addr string) *contact {
+// index entry of x's previous address, and returns x's record. Only
+// direct evidence (claim) takes an address the index holds for another
+// id: hearsay can pair a key position with its owner's address (a
+// peer's closest list may carry an owner-aliased aux pointer), and
+// re-pointing the index there would hide the owner's heard stamp and
+// RTT estimate behind a record that has neither. The caller holds
+// addrMu.
+func (n *Node) setAddrLocked(x id.ID, addr string, claim bool) *contact {
 	rec := n.contacts[x]
 	if rec == nil {
 		rec = &contact{}
@@ -736,6 +743,9 @@ func (n *Node) setAddrLocked(x id.ID, addr string) *contact {
 		delete(n.byAddr, rec.addr)
 	}
 	rec.addr = addr
+	if y, taken := n.byAddr[addr]; taken && y != x && !claim {
+		return rec
+	}
 	n.byAddr[addr] = x
 	return rec
 }

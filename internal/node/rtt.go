@@ -78,7 +78,7 @@ func (n *Node) observeRTT(c wire.Contact, sample time.Duration, heard bool) {
 	}
 	r := float64(sample)
 	n.addrMu.Lock()
-	rec := n.setAddrLocked(c.ID, c.Addr)
+	rec := n.setAddrLocked(c.ID, c.Addr, true)
 	e := &rec.rtt
 	if e.samples == 0 {
 		e.srtt, e.rttvar = r, r/2
