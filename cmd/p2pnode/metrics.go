@@ -70,11 +70,12 @@ type contactJSON struct {
 }
 
 // rttStats surfaces the measured-latency state behind QoS-aware aux
-// selection: every correlated RPC feeds a per-contact smoothed RTT
-// (EWMA, rtt.go), and the per-contact table here is the scrape-stable
-// view of exactly what the node's cost model currently believes. An
-// entry disappears when its contact is evicted — estimates and
-// addresses live and die together.
+// selection: every correlated RPC feeds the smoothed RTT of its
+// endpoint (EWMA, rtt.go), and the per-contact table here is the
+// scrape-stable view of exactly what the node's cost model currently
+// believes: one row per cached id whose address has an estimate, so an
+// owner-aliased aux pointer shows its owner's estimate. A row
+// disappears when its contact is evicted.
 type rttStats struct {
 	Samples       uint64 `json:"samples"`
 	Contacts      int    `json:"contacts"`

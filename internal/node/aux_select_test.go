@@ -208,12 +208,12 @@ func selectionNode(t *testing.T, factory ring.Factory, space id.Space, self wire
 	}
 	fc := &fixedCore{Routing: rt}
 	n := &Node{
-		cfg:      Config{Space: space, ID: self.ID, AuxCount: k, AuxQoSDelayBound: 100 * time.Millisecond},
-		self:     self,
-		rt:       fc,
-		contacts: make(map[id.ID]*contact),
-		byAddr:   make(map[string]id.ID),
-		window:   freq.NewShared(auxWindowBuckets),
+		cfg:    Config{Space: space, ID: self.ID, AuxCount: k, AuxQoSDelayBound: 100 * time.Millisecond},
+		self:   self,
+		rt:     fc,
+		addrs:  make(map[id.ID]string),
+		peers:  make(map[string]*peer),
+		window: freq.NewShared(auxWindowBuckets),
 	}
 	return n, fc
 }

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -126,7 +127,7 @@ func BenchmarkLookupHealthy(b *testing.B) {
 func BenchmarkLookupHedged(b *testing.B) {
 	nodes, nw := parkedRing(b, id.NewSpace(16), benchIDs, nil)
 	a, target := nodes[0], id.ID(60000)
-	ownerAddr, ok := a.addrOf(61000)
+	ownerAddr, ok := a.resolve(61000)
 	if !ok {
 		b.Fatal("the owner is not in the contact cache")
 	}
@@ -243,3 +244,49 @@ func benchRecomputeAux(b *testing.B, factory ring.Factory) {
 func BenchmarkRecomputeAuxChord(b *testing.B)    { benchRecomputeAux(b, chordring.New) }
 func BenchmarkRecomputeAuxPastry(b *testing.B)   { benchRecomputeAux(b, pastryring.New) }
 func BenchmarkRecomputeAuxKademlia(b *testing.B) { benchRecomputeAux(b, kadring.New) }
+
+// contactBench runs fn on one parked node over a contact cache of 64
+// measured, heard peers, from GOMAXPROCS goroutines at once: the
+// read-loop paths that every request and reply crosses, contending on
+// the contact cache's lock the way a node's read loop and its lookups do.
+func contactBench(b *testing.B, fn func(n *Node, c wire.Contact)) {
+	nw := memnet.New(1)
+	defer nw.CloseAll()
+	cfg := memConfig(nw, id.NewSpace(16), 1)
+	cfg.Scheduler = &parked{}
+	cfg.DisableHealProbe = true
+	n, err := Start(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer n.Close()
+	contacts := make([]wire.Contact, 64)
+	for i := range contacts {
+		x := id.ID(100 + i)
+		contacts[i] = wire.Contact{ID: x, Addr: fmt.Sprintf("mem/%d", x)}
+		n.observeRTT(contacts[i], time.Millisecond, true)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			fn(n, contacts[i%len(contacts)])
+		}
+	})
+}
+
+// BenchmarkNoteHeard is a handled request's note of its sender.
+func BenchmarkNoteHeard(b *testing.B) {
+	contactBench(b, func(n *Node, c wire.Contact) { n.note(c, true) })
+}
+
+// BenchmarkNoteHearsay is a parsed response's note of a contact it
+// names.
+func BenchmarkNoteHearsay(b *testing.B) {
+	contactBench(b, func(n *Node, c wire.Contact) { n.note(c, false) })
+}
+
+// BenchmarkObserveRTT is a correlated reply's RTT sample.
+func BenchmarkObserveRTT(b *testing.B) {
+	contactBench(b, func(n *Node, c wire.Contact) { n.observeRTT(c, time.Millisecond, true) })
+}

@@ -65,11 +65,11 @@ func hedgeWait(a *Node, addr string) time.Duration {
 	return a.lk.hedgeDelay(addr, a.cfg.RPCTimeout/4)
 }
 
-// forgetRTT drops the estimate of the contact cached at addr, leaving
-// its address and routing entries alone.
+// forgetRTT drops the estimate at addr, leaving the contact cache and
+// routing entries alone.
 func forgetRTT(a *Node, addr string) {
 	a.addrMu.Lock()
-	a.contactAtLocked(addr).rtt = rttEstimate{}
+	a.peers[addr].rtt = rttEstimate{}
 	a.addrMu.Unlock()
 }
 
@@ -113,12 +113,12 @@ func checkHedged(t *testing.T, a *Node, target id.ID, seed []string, drop func(s
 // times out.
 func TestRaceHedgeLaunchesSecondProbe(t *testing.T) {
 	a, target, seed, drop := hedgeRing(t)
-	rto, ok := a.rtoAt(seed[0])
+	e, ok := a.rttAt(seed[0])
 	if !ok {
 		t.Fatalf("no estimate for %s after the ring converged", seed[0])
 	}
 	wait := hedgeWait(a, seed[0])
-	if wait != min(rto, a.cfg.RPCTimeout/4) {
+	if rto := e.rto(); wait != min(rto, a.cfg.RPCTimeout/4) {
 		t.Fatalf("hedge delay %v, want the RTO %v capped at %v", wait, rto, a.cfg.RPCTimeout/4)
 	}
 	checkHedged(t, a, target, seed, drop, wait)
@@ -129,7 +129,7 @@ func TestRaceHedgeLaunchesSecondProbe(t *testing.T) {
 func TestRaceHedgeWithoutEstimateWaitsQuarterTimeout(t *testing.T) {
 	a, target, seed, drop := hedgeRing(t)
 	forgetRTT(a, seed[0])
-	if _, ok := a.rtoAt(seed[0]); ok {
+	if _, ok := a.rttAt(seed[0]); ok {
 		t.Fatal("estimate survived forgetRTT")
 	}
 	if wait := hedgeWait(a, seed[0]); wait != a.cfg.RPCTimeout/4 {
@@ -144,7 +144,7 @@ func TestRaceHedgeWithoutEstimateWaitsQuarterTimeout(t *testing.T) {
 // waits the owner's RTO, not RPCTimeout/4.
 func TestRaceHedgeOnAliasedAuxUsesOwnerEstimate(t *testing.T) {
 	a, target, _, drop := hedgeRing(t)
-	ownerAddr, ok := a.addrOf(61000)
+	ownerAddr, ok := a.resolve(61000)
 	if !ok {
 		t.Fatal("the owner is not in the contact cache")
 	}

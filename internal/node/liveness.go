@@ -5,7 +5,9 @@ package node
 // a failed Alive evicts, through Routing.DropPeer, which no geometry
 // calls. Each stabilize round checks the aux set, the suspects and the
 // predecessor: the paper's auxiliary pointers "ride the same ping
-// process as core ones" (Section III).
+// process as core ones" (Section III). Every decision is keyed by
+// address, and so is the heard stamp it reads (rtt.go's peer record):
+// one endpoint answers for every id cached at it.
 
 import (
 	"errors"
@@ -24,18 +26,18 @@ func stampNow() int64 { return int64(time.Since(epoch)) }
 // alive is ring.Host.Alive: check under the node's retry policy.
 func (n *Node) alive(addr string) bool { return n.check(addr, n.cfg.RPCRetries) }
 
-// check reports true without I/O when the contact at addr was heard
-// within StabilizeEvery, else whether one ping (RPCTimeout per attempt,
-// the given retries, no suspect) is answered. A failed ping evicts
-// every contact cached at addr (an owner-aliased aux pointer a peer
-// passed on shares its owner's address); the records stay, for the
-// heal probe.
+// check reports true without I/O when addr was heard within
+// StabilizeEvery, else whether one ping (RPCTimeout per attempt, the
+// given retries, no suspect) is answered. A failed ping evicts every
+// contact cached at addr (an owner-aliased aux pointer a peer passed on
+// shares its owner's address); the cache keeps them, for the heal
+// probe.
 func (n *Node) check(addr string, retries int) bool {
 	n.livenessChecks.Add(1)
 	heard := int64(0)
 	n.addrMu.RLock()
-	if rec := n.contactAtLocked(addr); rec != nil {
-		heard = rec.heard.Load()
+	if p := n.peers[addr]; p != nil {
+		heard = p.heard.Load()
 	}
 	n.addrMu.RUnlock()
 	if heard > 0 && stampNow()-heard < int64(n.cfg.StabilizeEvery) {
@@ -51,8 +53,8 @@ func (n *Node) check(addr string, retries int) bool {
 	}
 	var dead []id.ID
 	n.addrMu.RLock()
-	for x, rec := range n.contacts {
-		if rec.addr == addr {
+	for x, at := range n.addrs {
+		if at == addr {
 			dead = append(dead, x)
 		}
 	}
@@ -66,13 +68,12 @@ func (n *Node) check(addr string, retries int) bool {
 	return false
 }
 
-// suspect is the hook for a failed RPC: the contact at addr loses its
-// heard stamp, so its confirmation pings, and waits for the next
-// stabilize round.
+// suspect is the hook for a failed RPC: addr loses its heard stamp, so
+// its confirmation pings, and waits for the next stabilize round.
 func (n *Node) suspect(addr string) {
 	n.addrMu.RLock()
-	if rec := n.contactAtLocked(addr); rec != nil {
-		rec.heard.Store(0)
+	if p := n.peers[addr]; p != nil {
+		p.heard.Store(0)
 	}
 	n.addrMu.RUnlock()
 	n.suspectMu.Lock()

@@ -10,16 +10,16 @@ import (
 	"peercache/internal/wire"
 )
 
-// heardStamp reads x's heard stamp (0: never, or suspected since) and
-// whether x has a record at all.
+// heardStamp reads the heard stamp at x's cached address (0: never, or
+// suspected since) and whether that address has a record at all.
 func heardStamp(n *Node, x id.ID) (int64, bool) {
 	n.addrMu.RLock()
 	defer n.addrMu.RUnlock()
-	rec := n.contacts[x]
-	if rec == nil {
+	p := n.peers[n.addrs[x]]
+	if p == nil {
 		return 0, false
 	}
-	return rec.heard.Load(), true
+	return p.heard.Load(), true
 }
 
 // A request marks its sender heard, and so does a correlated reply —
@@ -106,10 +106,10 @@ func TestAliveSkipsHeardContact(t *testing.T) {
 }
 
 // A find-value answer can carry an owner-aliased aux pointer — {key
-// position, owner's address} — and the lookup driver notes it. That
-// hearsay must not take the owner's address in the index: the hedge RTO
-// still reads the owner's estimate there, and Alive within the period
-// still answers from the owner's heard stamp, without a ping.
+// position, owner's address} — and the lookup driver notes it. The
+// alias shares the owner's record: the hedge RTO still reads the
+// owner's estimate there, and Alive within the period still answers
+// from the owner's heard stamp, without a ping.
 func TestAliasedNoteKeepsOwnerRecord(t *testing.T) {
 	space := id.NewSpace(16)
 	nw := memnet.New(1)
@@ -125,7 +125,7 @@ func TestAliasedNoteKeepsOwnerRecord(t *testing.T) {
 		t.Fatal("the owner's reply left no estimate at its address")
 	}
 	a.lk.note(wire.Contact{ID: 39000, Addr: b.Addr()}) // the aliased pointer
-	if addr, ok := a.addrOf(39000); !ok || addr != b.Addr() {
+	if addr, ok := a.resolve(39000); !ok || addr != b.Addr() {
 		t.Fatalf("aliased pointer cached at %q (%t), want %s", addr, ok, b.Addr())
 	}
 	if got, ok := a.rttAt(b.Addr()); !ok || got != want {
@@ -135,11 +135,41 @@ func TestAliasedNoteKeepsOwnerRecord(t *testing.T) {
 	if !a.alive(b.Addr()) || bTap.got.Load() != 0 {
 		t.Fatalf("owner heard within the period: %d pings after the alias, want none", bTap.got.Load())
 	}
-	// A heard note still moves the index: an id that answers from the
-	// address owns it.
+	// A heard note under the alias stamps the shared record and leaves
+	// its estimate alone.
 	a.note(wire.Contact{ID: 39000, Addr: b.Addr()}, true)
-	if _, ok := a.rttAt(b.Addr()); ok {
-		t.Fatal("a heard note left the index at the old id")
+	if got, ok := a.rttAt(b.Addr()); !ok || got != want {
+		t.Fatalf("estimate at the owner's address after a heard alias note: %+v (%t), want %+v", got, ok, want)
+	}
+}
+
+// A heard contact that hearsay re-addresses starts unheard and
+// unmeasured at the new address: the stamp and the estimate belong to
+// the address that earned them, so Alive at the new address pings.
+func TestHearsayReaddressStartsUnheard(t *testing.T) {
+	space := id.NewSpace(16)
+	nw := memnet.New(1)
+	defer nw.CloseAll()
+	a, _ := tappedNode(t, nw, space, 1000)
+	b, _ := tappedNode(t, nw, space, 40000)
+	c, cTap := tappedNode(t, nw, space, 20000)
+
+	if _, err := a.call(b.Addr(), &wire.Message{Type: wire.TFindSucc, Target: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if h, ok := heardStamp(a, b.ID()); !ok || h == 0 {
+		t.Fatalf("setup: b unheard (record %t, stamp %d)", ok, h)
+	}
+	a.noteContact(wire.Contact{ID: b.ID(), Addr: c.Addr()}) // hearsay
+	if addr, ok := a.resolve(b.ID()); !ok || addr != c.Addr() {
+		t.Fatalf("b cached at %q (%t), want %s", addr, ok, c.Addr())
+	}
+	if _, ok := a.rttAt(c.Addr()); ok {
+		t.Fatal("the estimate followed the id to its new address")
+	}
+	a.cfg.StabilizeEvery = time.Hour // the node is parked
+	if !a.alive(c.Addr()) || cTap.got.Load() != 1 {
+		t.Fatalf("re-addressed contact: %d pings, want 1", cTap.got.Load())
 	}
 }
 

@@ -37,15 +37,13 @@ type lookup struct {
 	timeout time.Duration
 	retries int
 	maxHops int
-	// note records every contact a response names; rtt and rto read the
-	// smoothed RTT and the RTO of the contact at an address, for
-	// proximity routing and the hedge delay; suspect receives the
-	// address of every probe that failed. Any may be nil: without rtt
-	// the race never routes by proximity, and without rto it hedges
-	// after timeout/4.
+	// note records every contact a response names; rtt reads the RTT
+	// estimate at an address, for proximity routing (its srtt) and the
+	// hedge delay (its RTO); suspect receives the address of every probe
+	// that failed. Any may be nil: without rtt the race never routes by
+	// proximity and hedges after timeout/4.
 	note    func(wire.Contact)
-	rtt     func(addr string) (time.Duration, bool)
-	rto     func(addr string) (time.Duration, bool)
+	rtt     func(addr string) (rttEstimate, bool)
 	suspect func(addr string)
 }
 
@@ -107,9 +105,9 @@ const qosProbeWindow = 4
 // stands, so the mode degrades to plain greedy exactly where the RTT
 // plane has no data. The 2× test is done as dist>>1 <= best to stay
 // overflow-safe on full-width ring distances.
-func qosProbeIndex(frontier []frontierEntry, rtt func(addr string) (time.Duration, bool)) int {
+func qosProbeIndex(frontier []frontierEntry, rtt func(addr string) (rttEstimate, bool)) int {
 	best := -1
-	var bestRTT time.Duration
+	var bestRTT float64
 	limit := len(frontier)
 	if limit > qosProbeWindow {
 		limit = qosProbeWindow
@@ -118,8 +116,8 @@ func qosProbeIndex(frontier []frontierEntry, rtt func(addr string) (time.Duratio
 		if frontier[i].dist>>1 > frontier[0].dist {
 			break // sorted frontier: every later entry is farther still
 		}
-		if d, ok := rtt(frontier[i].c.Addr); ok && (best < 0 || d < bestRTT) {
-			best, bestRTT = i, d
+		if e, ok := rtt(frontier[i].c.Addr); ok && (best < 0 || e.srtt < bestRTT) {
+			best, bestRTT = i, e.srtt
 		}
 	}
 	if best < 0 {
@@ -329,12 +327,12 @@ func (l *lookup) race(target id.ID, seed []wire.Contact, valueMode, qos bool) (r
 }
 
 // hedgeDelay is how long the race waits on a probe to addr before it
-// launches another: the contact's RTO, capped at limit; limit when the
-// contact has no estimate or no rto hook is set.
+// launches another: the RTO at addr, capped at limit; limit when the
+// address has no estimate or no rtt hook is set.
 func (l *lookup) hedgeDelay(addr string, limit time.Duration) time.Duration {
-	if l.rto != nil {
-		if d, ok := l.rto(addr); ok && d < limit {
-			return d
+	if l.rtt != nil {
+		if e, ok := l.rtt(addr); ok {
+			return min(e.rto(), limit)
 		}
 	}
 	return limit

@@ -300,7 +300,7 @@ type Metrics struct {
 	ReplicaServes uint64
 
 	// Latency plane (rtt.go). RTTSamples counts correlated RPC
-	// responses folded into the per-contact EWMA estimates;
+	// responses folded into the per-endpoint EWMA estimates;
 	// AuxQoSSelects counts aux recomputations that ran the
 	// delay-bound-constrained QoS selection, AuxQoSInfeasible the ones
 	// whose bounds could not be met with the configured aux budget
@@ -311,7 +311,8 @@ type Metrics struct {
 	// AuxQoS reports whether QoS-aware aux selection is currently
 	// enabled (Config.AuxQoS, togglable at runtime via SetAuxQoS).
 	AuxQoS bool
-	// RTTContacts is the number of contacts with a live RTT estimate.
+	// RTTContacts is the number of cached contacts whose address has an
+	// RTT estimate: the rows of ContactRTTs.
 	RTTContacts int
 
 	// Liveness plane (liveness.go): Alive calls, the ones that had to
@@ -344,19 +345,17 @@ type Node struct {
 	// selection, and each aux tick ages it one bucket.
 	window *freq.Shared
 
-	// addrMu guards the contact cache: every id the node has ever heard
-	// of, mapped to its record (rtt.go): last known address (the
-	// live-network analogue of the simulator's global node map — without
-	// it a freshly selected auxiliary id would be unroutable), RTT
-	// estimate and heard time. The heal probe samples it.
-	addrMu   sync.RWMutex
-	contacts map[id.ID]*contact
-	// byAddr indexes contacts by address (address → the id that last
-	// sent from it, or the first id cached at it while none had), so the
-	// lookup race can find the estimate behind an aliased aux contact.
-	// It changes only in setAddrLocked and forgetAddr: every entry has a
-	// backing contacts entry.
-	byAddr map[string]id.ID
+	// addrMu guards the contact cache and the endpoint records. addrs
+	// maps every id the node has ever heard of to its last known address
+	// (the live-network analogue of the simulator's global node map —
+	// without it a freshly selected auxiliary id would be unroutable);
+	// the heal probe samples it. peers holds what the node knows of each
+	// address it has heard from or timed (rtt.go): RTT estimate and
+	// heard time. An owner-aliased aux pointer and its owner share one
+	// address, so they share one record.
+	addrMu sync.RWMutex
+	addrs  map[id.ID]string
+	peers  map[string]*peer
 
 	// suspects holds the addresses of failed RPCs until the next
 	// stabilize round checks them (liveness.go).
@@ -451,8 +450,8 @@ func Start(cfg Config) (*Node, error) {
 	n := &Node{
 		cfg:      cfg,
 		self:     wire.Contact{ID: cfg.ID, Addr: adv},
-		contacts: make(map[id.ID]*contact),
-		byAddr:   make(map[string]id.ID),
+		addrs:    make(map[id.ID]string),
+		peers:    make(map[string]*peer),
 		suspects: make(map[string]struct{}),
 		window:   freq.NewShared(auxWindowBuckets),
 	}
@@ -480,7 +479,7 @@ func Start(cfg Config) (*Node, error) {
 		return nil, err
 	}
 	n.lk = newLookup(n.tr, n.rt, cfg)
-	n.lk.note, n.lk.rtt, n.lk.rto, n.lk.suspect = n.noteContact, n.srttAt, n.rtoAt, n.suspect
+	n.lk.note, n.lk.rtt, n.lk.suspect = n.noteContact, n.rttAt, n.suspect
 	n.tr.start()
 
 	n.every(cfg.StabilizeEvery, n.stabilize)
@@ -657,7 +656,7 @@ func (n *Node) Metrics() Metrics {
 		AuxQoSSelects:     n.auxQoSSelects.Load(),
 		AuxQoSInfeasible:  n.auxQoSInfeasible.Load(),
 		AuxQoS:            n.auxQoS.Load(),
-		RTTContacts:       len(n.ContactRTTs()),
+		RTTContacts:       n.rttContacts(),
 		LivenessChecks:    n.livenessChecks.Load(),
 		LivenessPings:     n.livenessPings.Load(),
 		Evictions:         n.evictions.Load(),
@@ -694,7 +693,8 @@ func (n *Node) Ping(addr string) error {
 // contact of anonymous kv clients never pollutes routing state.
 func (n *Node) noteContact(c wire.Contact) { n.note(c, false) }
 
-// note records c's address and, when heard, stamps c heard now.
+// note records c's address and, when heard, stamps c's address heard
+// now.
 func (n *Node) note(c wire.Contact, heard bool) {
 	if c.ID == n.self.ID || c.Addr == "" {
 		return
@@ -704,83 +704,65 @@ func (n *Node) note(c wire.Contact, heard bool) {
 	// contacts), so check under the read lock first — at cluster scale
 	// the unconditional write lock here serialized the read loops of
 	// every node in the process. The heard stamp is atomic for the same
-	// reason. A heard note also takes the address in the index, which
-	// hearsay may have left with another id (setAddrLocked).
+	// reason. Hearsay reads only the id's address.
 	n.addrMu.RLock()
-	rec := n.contacts[c.ID]
-	known := rec != nil && rec.addr == c.Addr && (!heard || n.byAddr[c.Addr] == c.ID)
+	known := n.addrs[c.ID] == c.Addr
 	if known && heard {
-		rec.heard.Store(stampNow())
+		p := n.peers[c.Addr]
+		if known = p != nil; known {
+			p.heard.Store(stampNow())
+		}
 	}
 	n.addrMu.RUnlock()
 	if known {
 		return
 	}
 	n.addrMu.Lock()
-	rec = n.setAddrLocked(c.ID, c.Addr, heard)
+	n.addrs[c.ID] = c.Addr
 	if heard {
-		rec.heard.Store(stampNow())
+		n.peerLocked(c.Addr).heard.Store(stampNow())
 	}
 	n.addrMu.Unlock()
 }
 
-// setAddrLocked caches addr as x's address and indexes it, dropping the
-// index entry of x's previous address, and returns x's record. Only
-// direct evidence (claim) takes an address the index holds for another
-// id: hearsay can pair a key position with its owner's address (a
-// peer's closest list may carry an owner-aliased aux pointer), and
-// re-pointing the index there would hide the owner's heard stamp and
-// RTT estimate behind a record that has neither. The caller holds
-// addrMu.
-func (n *Node) setAddrLocked(x id.ID, addr string, claim bool) *contact {
-	rec := n.contacts[x]
-	if rec == nil {
-		rec = &contact{}
-		n.contacts[x] = rec
-	} else if rec.addr == addr && n.byAddr[addr] == x {
-		return rec // every RTT sample lands here: read, don't write
-	} else if rec.addr != addr && n.byAddr[rec.addr] == x {
-		delete(n.byAddr, rec.addr)
-	}
-	rec.addr = addr
-	if y, taken := n.byAddr[addr]; taken && y != x && !claim {
-		return rec
-	}
-	n.byAddr[addr] = x
-	return rec
-}
-
-// contactAtLocked returns the record cached at addr, or nil. The caller
+// peerLocked returns addr's record, creating it if need be. The caller
 // holds addrMu.
-func (n *Node) contactAtLocked(addr string) *contact {
-	if x, ok := n.byAddr[addr]; ok {
-		return n.contacts[x]
+func (n *Node) peerLocked(addr string) *peer {
+	p := n.peers[addr]
+	if p == nil {
+		p = &peer{}
+		n.peers[addr] = p
 	}
-	return nil
+	return p
 }
 
-// addrOf returns the cached address for x.
-func (n *Node) addrOf(x id.ID) (string, bool) {
+// resolve returns where the node would send to x: x's cached address,
+// else, for a key's ring position, the address of the owner that last
+// resolved it (the owner-hint cache). Aux installation and the QoS cost
+// both read it, so an aliased pointer costs what its owner's link does.
+func (n *Node) resolve(x id.ID) (string, bool) {
 	n.addrMu.RLock()
-	defer n.addrMu.RUnlock()
-	if rec := n.contacts[x]; rec != nil {
-		return rec.addr, true
+	addr, ok := n.addrs[x]
+	n.addrMu.RUnlock()
+	if ok {
+		return addr, true
+	}
+	if owner, ok := n.ownerHints.Get(x, time.Now()); ok {
+		return owner.Addr, true
 	}
 	return "", false
 }
 
-// forgetAddr drops x's record — address, estimate and heard time
-// together — but only while it still maps to the address that just
-// failed: a concurrent noteContact may have learned a fresher address,
-// and that one must survive.
+// forgetAddr drops x's address, but only while it is still the address
+// that just failed a full check: a concurrent noteContact may have
+// learned a fresher one, and that must survive. The failed address's
+// record — estimate and heard time — goes in any case.
 func (n *Node) forgetAddr(x id.ID, failed string) {
 	n.addrMu.Lock()
-	if rec := n.contacts[x]; rec != nil && rec.addr == failed {
-		delete(n.contacts, x)
-		if n.byAddr[failed] == x {
-			delete(n.byAddr, failed)
-		}
+	if n.addrs[x] == failed {
+		delete(n.addrs, x)
 	}
+	delete(n.peers, failed)
 	n.addrMu.Unlock()
 }
 
@@ -796,8 +778,8 @@ func (n *Node) forgetAddr(x id.ID, failed string) {
 func (n *Node) randomCached() (wire.Contact, bool) {
 	n.addrMu.RLock()
 	defer n.addrMu.RUnlock()
-	for x, rec := range n.contacts {
-		return wire.Contact{ID: x, Addr: rec.addr}, true
+	for x, addr := range n.addrs {
+		return wire.Contact{ID: x, Addr: addr}, true
 	}
 	return wire.Contact{}, false
 }
@@ -1001,19 +983,13 @@ func (n *Node) recomputeAux(rotate bool) (int, error) {
 		return 0, err
 	}
 	aux := make([]wire.Contact, 0, len(ids))
-	now := time.Now()
 	for _, a := range ids {
-		if addr, ok := n.addrOf(a); ok {
+		// A selected key position the cache does not know resolves to
+		// the key's owner: the aliased entry sits exactly at the hot
+		// key, so next-hop selection picks it for that key's lookups and
+		// the owner's ownership check finishes them in one hop.
+		if addr, ok := n.resolve(a); ok {
 			aux = append(aux, wire.Contact{ID: a, Addr: addr})
-			continue
-		}
-		// The selected id is a key's ring position, not a node the
-		// cache knows: alias the aux pointer to the key's owner. The
-		// entry sits exactly at the hot key, so next-hop selection picks
-		// it for that key's lookups and the owner's ownership check
-		// finishes them in one hop.
-		if owner, ok := n.ownerHints.Get(a, now); ok {
-			aux = append(aux, wire.Contact{ID: a, Addr: owner.Addr})
 		}
 	}
 	n.rt.SetAux(aux)
@@ -1072,18 +1048,15 @@ func auxPeers(snap []freq.Entry, self id.ID, coreIDs []id.ID) []core.Peer {
 	return peers
 }
 
-// peerRTT resolves the latency estimate behind one observed frequency
-// id: directly for a node id the contact cache has timed, and through
-// the owner-hint cache for a key's ring position (the aux pointer
-// would alias to the owner, so the owner's RTT is the right cost).
+// peerRTT is the smoothed RTT at the address one observed frequency
+// id resolves to: a node id's own, a key position's owner's.
 func (n *Node) peerRTT(x id.ID) (time.Duration, bool) {
-	if d, ok := n.ContactRTT(x); ok {
-		return d, true
+	addr, ok := n.resolve(x)
+	if !ok {
+		return 0, false
 	}
-	if owner, ok := n.ownerHints.Get(x, time.Now()); ok {
-		return n.ContactRTT(owner.ID)
-	}
-	return 0, false
+	e, ok := n.rttAt(addr)
+	return time.Duration(e.srtt), ok
 }
 
 // qosCost is the QoS selection's cost callback: measured smoothed RTT

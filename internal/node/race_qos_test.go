@@ -46,14 +46,14 @@ func memAddr(x id.ID) string { return fmt.Sprintf("mem/%d", x) }
 
 // rttTable serves per-node RTTs the way the node's hook does: by the
 // address a probe goes to.
-func rttTable(t map[id.ID]time.Duration) func(string) (time.Duration, bool) {
-	byAddr := make(map[string]time.Duration, len(t))
+func rttTable(t map[id.ID]time.Duration) func(string) (rttEstimate, bool) {
+	byAddr := make(map[string]rttEstimate, len(t))
 	for x, d := range t {
-		byAddr[memAddr(x)] = d
+		byAddr[memAddr(x)] = rttEstimate{srtt: float64(d), samples: 1}
 	}
-	return func(addr string) (time.Duration, bool) {
-		d, ok := byAddr[addr]
-		return d, ok
+	return func(addr string) (rttEstimate, bool) {
+		e, ok := byAddr[addr]
+		return e, ok
 	}
 }
 
@@ -152,7 +152,7 @@ func TestQoSProbePromotesAliasedAux(t *testing.T) {
 	if _, ok := n.ContactRTT(900); ok {
 		t.Fatal("the key position acquired an estimate of its own")
 	}
-	if got := qosProbeIndex(frontier, n.srttAt); got != 1 {
+	if got := qosProbeIndex(frontier, n.rttAt); got != 1 {
 		t.Fatalf("qosProbeIndex = %d, want 1: the aliased candidate rides its owner's 2ms link", got)
 	}
 }

@@ -55,11 +55,11 @@ type Host interface {
 	// Note records a contact in the runtime's address cache, the pool
 	// the heal probe samples and aux aliasing resolves against.
 	Note(c wire.Contact)
-	// Alive reports whether the contact at addr lives: true without
-	// I/O when it was heard from within one StabilizeEvery, else
+	// Alive reports whether the endpoint at addr lives: true without
+	// I/O when addr was heard from within one StabilizeEvery, else
 	// whether it answers one ping under Call's policy. A false answer
-	// has already evicted the contact through Routing.DropPeer, so the
-	// caller must not hold its own lock.
+	// has already evicted every contact cached at addr through
+	// Routing.DropPeer, so the caller must not hold its own lock.
 	Alive(addr string) bool
 }
 

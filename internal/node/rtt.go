@@ -1,18 +1,21 @@
 package node
 
-// The per-contact record: a peer's address, smoothed RTT and heard
-// time live in one entry of one map under one lock, so evicting an
-// address evicts the rest with it (the soak suite's latency-sane
-// invariant).
+// The per-endpoint record: what the node knows of one address — its
+// smoothed RTT and heard time — lives in one entry of one map, keyed
+// by the address every probe, ping and reply travels to and from. An
+// owner-aliased aux pointer ({key position, owner's address}) shares
+// its owner's record by construction, and a note about an id, which
+// moves only the id's address, cannot move a record.
 //
 // Every correlated RPC that completes is a free latency measurement:
 // the transport knows when an attempt's datagram went out and when its
 // paired response arrived, and the response's From identifies the peer.
 // The node folds those samples into TCP's estimator (RFC 6298: smoothed
-// RTT and RTT variation) per contact: the cost model of the paper's QoS
-// selection (recomputeAux's AuxQoS mode) and of the lookup race's hedge
-// delay (the probed contact's RTO), surfaced in the p2pnode metrics
-// JSON. The heard time is the liveness half (liveness.go).
+// RTT and RTT variation) per endpoint: the cost model of the paper's
+// QoS selection (recomputeAux's AuxQoS mode) and of the lookup race's
+// proximity routing and hedge delay (the probed address's RTO),
+// surfaced in the p2pnode metrics JSON. The heard time is the liveness
+// half (liveness.go).
 
 import (
 	"math"
@@ -33,17 +36,16 @@ const (
 	rttBeta  = 0.25
 )
 
-// contact is one peer's record. addr and rtt change under addrMu's
-// write lock; heard is atomic, so the request path stamps it under the
-// read lock. heard is the stampNow of the last request or non-pong
-// reply from the peer; 0 is never, or suspected since.
-type contact struct {
-	addr  string
+// peer is one address's record. rtt changes under addrMu's write
+// lock; heard is atomic, so the request path stamps it under the read
+// lock. heard is the stampNow of the last request or non-pong reply
+// from the address; 0 is never, or suspected since.
+type peer struct {
 	rtt   rttEstimate
 	heard atomic.Int64
 }
 
-// rttEstimate is one contact's smoothed RTT state.
+// rttEstimate is one endpoint's smoothed RTT state.
 type rttEstimate struct {
 	srtt    float64 // smoothed RTT, nanoseconds
 	rttvar  float64 // RTT variation, nanoseconds
@@ -67,19 +69,20 @@ func (e rttEstimate) rto() time.Duration {
 	return max(rtoMin, time.Duration(e.srtt+4*e.rttvar))
 }
 
-// observeRTT folds one measured sample into the peer's estimate and,
-// when heard, stamps the peer heard now. A peer that answered an RPC
-// is by definition a live, routable contact, so the address cache
-// learns it in the same critical section. Non-positive samples, self,
-// and zero contacts are ignored.
+// observeRTT folds one measured sample into the estimate of c's
+// address and, when heard, stamps it heard now. A peer that answered
+// an RPC is by definition a live, routable contact, so the address
+// cache learns it in the same critical section. Non-positive samples,
+// self, and addressless contacts are ignored.
 func (n *Node) observeRTT(c wire.Contact, sample time.Duration, heard bool) {
-	if sample <= 0 || c.IsZero() || c.ID == n.self.ID || len(c.Addr) > wire.MaxAddrLen {
+	if sample <= 0 || c.Addr == "" || c.ID == n.self.ID || len(c.Addr) > wire.MaxAddrLen {
 		return
 	}
 	r := float64(sample)
 	n.addrMu.Lock()
-	rec := n.setAddrLocked(c.ID, c.Addr, true)
-	e := &rec.rtt
+	n.addrs[c.ID] = c.Addr
+	p := n.peerLocked(c.Addr)
+	e := &p.rtt
 	if e.samples == 0 {
 		e.srtt, e.rttvar = r, r/2
 	} else {
@@ -89,49 +92,32 @@ func (n *Node) observeRTT(c wire.Contact, sample time.Duration, heard bool) {
 	}
 	e.samples++
 	if heard {
-		rec.heard.Store(stampNow())
+		p.heard.Store(stampNow())
 	}
 	n.addrMu.Unlock()
 	n.rttSamples.Add(1)
 }
 
-// rttAt returns the estimate of the contact at addr, resolved through
-// the address index: a probe goes to an address, and a position-aliased
-// aux contact ({key position, owner's address}) carries an id the
-// estimator has never seen, so the address is the only key that finds
-// the owner's measurements.
+// rttAt returns the estimate of the endpoint at addr: the lookup
+// race's proximity and hedge hook, and the QoS cost's source.
 func (n *Node) rttAt(addr string) (rttEstimate, bool) {
 	n.addrMu.RLock()
-	rec := n.contactAtLocked(addr)
 	var e rttEstimate
-	if rec != nil {
-		e = rec.rtt
+	if p := n.peers[addr]; p != nil {
+		e = p.rtt
 	}
 	n.addrMu.RUnlock()
 	return e, e.samples > 0
 }
 
-// srttAt is the lookup race's proximity hook: the smoothed RTT of the
-// contact at addr.
-func (n *Node) srttAt(addr string) (time.Duration, bool) {
-	e, ok := n.rttAt(addr)
-	return time.Duration(e.srtt), ok
-}
-
-// rtoAt is the lookup race's hedge hook: the RTO of the contact at
-// addr.
-func (n *Node) rtoAt(addr string) (time.Duration, bool) {
-	e, ok := n.rttAt(addr)
-	return e.rto(), ok
-}
-
-// ContactRTT returns the smoothed RTT to x, if any sample has ever been
-// folded in (and the contact has not been evicted since).
+// ContactRTT returns the smoothed RTT to x's cached address, if any
+// sample has ever been folded in there (and neither has been evicted
+// since).
 func (n *Node) ContactRTT(x id.ID) (time.Duration, bool) {
 	n.addrMu.RLock()
 	var e rttEstimate
-	if rec := n.contacts[x]; rec != nil {
-		e = rec.rtt
+	if p := n.peers[n.addrs[x]]; p != nil {
+		e = p.rtt
 	}
 	n.addrMu.RUnlock()
 	return time.Duration(e.srtt), e.samples > 0
@@ -149,30 +135,45 @@ type ContactRTTInfo struct {
 	Heard   time.Duration
 }
 
-// ContactRTTs snapshots every contact with an estimate, sorted by id
-// for deterministic output.
+// ContactRTTs snapshots every cached id whose address has an
+// estimate, sorted by id for deterministic output. Ids aliased to one
+// address all show its estimate.
 func (n *Node) ContactRTTs() []ContactRTTInfo {
 	now := stampNow()
 	n.addrMu.RLock()
-	out := make([]ContactRTTInfo, 0, len(n.contacts))
-	for x, rec := range n.contacts {
-		if rec.rtt.samples == 0 {
+	out := make([]ContactRTTInfo, 0, len(n.addrs))
+	for x, addr := range n.addrs {
+		p := n.peers[addr]
+		if p == nil || p.rtt.samples == 0 {
 			continue
 		}
 		heard := time.Duration(-1)
-		if h := rec.heard.Load(); h > 0 {
+		if h := p.heard.Load(); h > 0 {
 			heard = time.Duration(now - h)
 		}
 		out = append(out, ContactRTTInfo{
 			ID:      x,
-			Addr:    rec.addr,
-			SRTT:    time.Duration(rec.rtt.srtt),
-			RTTVar:  time.Duration(rec.rtt.rttvar),
-			Samples: rec.rtt.samples,
+			Addr:    addr,
+			SRTT:    time.Duration(p.rtt.srtt),
+			RTTVar:  time.Duration(p.rtt.rttvar),
+			Samples: p.rtt.samples,
 			Heard:   heard,
 		})
 	}
 	n.addrMu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
+}
+
+// rttContacts counts the rows ContactRTTs would return.
+func (n *Node) rttContacts() int {
+	n.addrMu.RLock()
+	defer n.addrMu.RUnlock()
+	count := 0
+	for _, addr := range n.addrs {
+		if p := n.peers[addr]; p != nil && p.rtt.samples > 0 {
+			count++
+		}
+	}
+	return count
 }

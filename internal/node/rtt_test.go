@@ -102,43 +102,61 @@ func TestRTTEstimatorFollowsRFC6298(t *testing.T) {
 				t.Fatalf("step %d (sample %v): %s %v, want %v", i, st.sample, c.name, c.got, c.want)
 			}
 		}
-		if rto, _ := n.rtoAt(peer.Addr); rto != e.rto() {
-			t.Fatalf("step %d: rtoAt %v, estimate's rto %v", i, rto, e.rto())
+		if wait := n.lk.hedgeDelay(peer.Addr, time.Hour); wait != e.rto() {
+			t.Fatalf("step %d: hedge delay %v, estimate's rto %v", i, wait, e.rto())
 		}
 	}
 	info := n.ContactRTTs()
-	if len(info) != 1 || info[0].RTTVar != time.Duration(n.contacts[5].rtt.rttvar) || info[0].Samples != uint64(len(steps)) {
+	if len(info) != 1 || info[0].RTTVar != time.Duration(n.peers[peer.Addr].rtt.rttvar) || info[0].Samples != uint64(len(steps)) {
 		t.Fatalf("snapshot %+v does not carry the estimate", info)
 	}
 	// On a 50 µs link srtt + 4·rttvar is 150 µs, and rtoMin is what
 	// keeps the hedge from racing the scheduler.
 	fast := wire.Contact{ID: 6, Addr: "mem/6"}
 	n.observeRTT(fast, 50*time.Microsecond, true)
-	if rto, _ := n.rtoAt(fast.Addr); rto != rtoMin {
-		t.Fatalf("50µs link: rto %v, want rtoMin %v", rto, rtoMin)
+	if e, _ := n.rttAt(fast.Addr); e.rto() != rtoMin {
+		t.Fatalf("50µs link: rto %v, want rtoMin %v", e.rto(), rtoMin)
 	}
 }
 
 // The estimate behind a position-aliased contact is found by address:
 // the id the probe carries is a key position, but the address is the
-// owner's, and the index maps it back to the owner's estimate.
+// owner's, and the estimate is the address's.
 func TestRTTResolvedByAddress(t *testing.T) {
 	n := newRTTNode(t)
 	n.observeRTT(wire.Contact{ID: 7, Addr: "mem/7"}, 3*time.Millisecond, true)
-	if d, ok := n.srttAt("mem/7"); !ok || d != 3*time.Millisecond {
-		t.Fatalf("srtt at the owner's address: %v, %t; want 3ms", d, ok)
+	if e, ok := n.rttAt("mem/7"); !ok || time.Duration(e.srtt) != 3*time.Millisecond {
+		t.Fatalf("srtt at the owner's address: %v, %t; want 3ms", time.Duration(e.srtt), ok)
 	}
-	if _, ok := n.srttAt("mem/8"); ok {
+	if _, ok := n.rttAt("mem/8"); ok {
 		t.Fatal("an unknown address resolved to an estimate")
 	}
-	// A contact re-addressed moves its index entry: the old address no
-	// longer resolves, the new one does.
+	// A contact re-addressed by hearsay leaves the estimate with the
+	// address that earned it: the old address still resolves, the new
+	// one and the id do not.
 	n.noteContact(wire.Contact{ID: 7, Addr: "mem/7b"})
-	if _, ok := n.srttAt("mem/7"); ok {
-		t.Fatal("the old address still resolves after the contact moved")
+	if e, ok := n.rttAt("mem/7"); !ok || time.Duration(e.srtt) != 3*time.Millisecond {
+		t.Fatalf("srtt at the old address: %v, %t; want 3ms", time.Duration(e.srtt), ok)
 	}
-	if d, ok := n.srttAt("mem/7b"); !ok || d != 3*time.Millisecond {
-		t.Fatalf("srtt at the new address: %v, %t; want 3ms", d, ok)
+	if _, ok := n.rttAt("mem/7b"); ok {
+		t.Fatal("the estimate followed the id to its new address")
+	}
+	if _, ok := n.ContactRTT(7); ok {
+		t.Fatal("the re-addressed id kept an estimate")
+	}
+}
+
+// A key position noted by hearsay at its owner's address, with no owner
+// hint, costs what the owner's link does in QoS selection.
+func TestQoSCostOfAliasedPositionIsOwners(t *testing.T) {
+	n := newRTTNode(t)
+	n.observeRTT(wire.Contact{ID: 7, Addr: "mem/7"}, 3*time.Millisecond, true)
+	n.noteContact(wire.Contact{ID: 900, Addr: "mem/7"})
+	if _, ok := n.ownerHints.Get(900, time.Now()); ok {
+		t.Fatal("setup: the key position has an owner hint")
+	}
+	if cost, ok := n.qosCost(900); !ok || cost != 3 {
+		t.Fatalf("QoS cost of the aliased position: %v (%t), want the owner's 3ms", cost, ok)
 	}
 }
 
@@ -182,31 +200,36 @@ func TestRTTDecaysWithContactEviction(t *testing.T) {
 		t.Fatal("estimate missing before eviction")
 	}
 
-	// A stale failure (address already replaced) must not evict.
+	// A stale failure (address already replaced) drops the failed
+	// address's record but keeps the id's fresher address.
 	n.noteContact(wire.Contact{ID: 11, Addr: "mem/11-new"})
 	n.forgetAddr(11, "mem/11")
-	if _, ok := n.ContactRTT(11); !ok {
-		t.Fatal("stale-address failure evicted a live estimate")
+	if _, ok := n.rttAt("mem/11"); ok {
+		t.Fatal("the failed address kept its estimate")
+	}
+	if addr, ok := n.resolve(11); !ok || addr != "mem/11-new" {
+		t.Fatalf("stale-address failure moved the id to %q (%t), want mem/11-new", addr, ok)
 	}
 
 	// A current failure must evict estimate (srtt and rttvar alike),
-	// address and address index entry together.
+	// address and record together.
+	n.observeRTT(wire.Contact{ID: 11, Addr: "mem/11-new"}, 8*time.Millisecond, true)
 	n.forgetAddr(11, "mem/11-new")
 	if _, ok := n.ContactRTT(11); ok {
 		t.Fatal("estimate survived contact eviction")
 	}
-	if _, ok := n.rtoAt("mem/11-new"); ok {
+	if _, ok := n.rttAt("mem/11-new"); ok {
 		t.Fatal("the evicted contact's RTO still resolves by address")
 	}
-	if _, ok := n.addrOf(11); ok {
+	if _, ok := n.resolve(11); ok {
 		t.Fatal("address survived forgetAddr")
 	}
 	n.addrMu.RLock()
-	_, indexed := n.byAddr["mem/11-new"]
-	_, estimated := n.contacts[11]
+	_, cached := n.addrs[11]
+	_, recorded := n.peers["mem/11-new"]
 	n.addrMu.RUnlock()
-	if indexed || estimated {
-		t.Fatalf("forgetAddr left the index entry (%t) or the estimate (%t) behind", indexed, estimated)
+	if cached || recorded {
+		t.Fatalf("forgetAddr left the address (%t) or the record (%t) behind", cached, recorded)
 	}
 	if m := n.Metrics(); m.RTTContacts != 0 {
 		t.Fatalf("RTTContacts = %d after eviction, want 0", m.RTTContacts)

@@ -143,21 +143,37 @@ func (t *transport) readLoop() {
 // byte count exists so per-plane accounting like the replication
 // counters can attribute traffic without re-encoding).
 func (t *transport) send(dst string, m *wire.Message) int {
+	n, _, _ := t.write(dst, m, nil)
+	return n
+}
+
+// write encodes m into a pooled buffer and writes it to dst as one
+// datagram, counted when the write succeeds, and returns the bytes
+// written. A non-nil w is registered as the waiter of m's MsgID between
+// the encode and the write, so no response can beat it, and sentAt is
+// then the moment just before the write, where the RTT sample starts; a
+// zero sentAt means m did not encode and nothing was registered.
+func (t *transport) write(dst string, m *wire.Message, w *waiter) (n int, sentAt time.Time, err error) {
 	bp := encBufs.Get().(*[]byte)
 	b, err := wire.AppendEncode((*bp)[:0], m)
 	if err != nil {
 		encBufs.Put(bp)
-		return 0
+		return 0, sentAt, err
 	}
-	sent := 0
-	if _, err := t.conn.WriteTo(b, dst); err == nil {
+	if w != nil {
+		t.mu.Lock()
+		t.inflight[m.MsgID] = w
+		t.mu.Unlock()
+		sentAt = time.Now()
+	}
+	if _, err = t.conn.WriteTo(b, dst); err == nil {
 		t.datagramsOut.Add(1)
 		t.bytesOut.Add(uint64(len(b)))
-		sent = len(b)
+		n = len(b)
 	}
 	*bp = b[:0]
 	encBufs.Put(bp)
-	return sent
+	return n, sentAt, err
 }
 
 // call performs one RPC: it fills in From and a fresh MsgID, sends, and
@@ -234,29 +250,17 @@ func (t *transport) callCancel(addr string, req *wire.Message, timeout time.Dura
 	for attempt := 0; ; attempt++ {
 		msgID := t.nextID.Add(1)
 		req.MsgID = msgID
-		bp := encBufs.Get().(*[]byte)
-		b, err := wire.AppendEncode((*bp)[:0], req)
-		if err != nil {
-			encBufs.Put(bp)
+		_, sentAt, err := t.write(addr, req, w)
+		if sentAt.IsZero() {
 			return nil, err // malformed request: retrying cannot help
 		}
-		t.mu.Lock()
-		t.inflight[msgID] = w
-		t.mu.Unlock()
-		sentAt := time.Now()
-		_, werr := t.conn.WriteTo(b, addr)
-		n := len(b)
-		*bp = b[:0]
-		encBufs.Put(bp)
-		if werr != nil {
+		if err != nil {
 			t.abandon(msgID, w)
 			if t.closed.Load() {
 				return nil, ErrClosed
 			}
-			return nil, fmt.Errorf("node: rpc %v to %s: %w", req.Type, addr, werr)
+			return nil, fmt.Errorf("node: rpc %v to %s: %w", req.Type, addr, err)
 		}
-		t.datagramsOut.Add(1)
-		t.bytesOut.Add(uint64(n))
 		w.arm(timeout) // the attempt's one arm
 		select {
 		case resp := <-w.ch:

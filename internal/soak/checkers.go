@@ -31,28 +31,28 @@ func (e *engine) quiesce() {
 	e.nw.SetDefaultPolicy(memnet.LinkPolicy{})
 	e.o.Logf("soak: window %d: %d live nodes, healed %v", e.v.Windows, len(e.live), healed)
 
-	if err := e.clock.WaitUntil(e.o.ConvergeSteps, e.convergeCheck); err != nil {
+	if err := e.clock.WaitUntil(convergeSteps, e.convergeCheck); err != nil {
 		e.violate("converge", "%v", err)
 		// Without a converged ring the remaining invariants are not
 		// judgeable: ownership is still legitimately in motion.
 		return
 	}
-	if err := e.clock.WaitUntil(e.o.SettleSteps, e.ownerUniqueCheck); err != nil {
+	if err := e.clock.WaitUntil(settleSteps, e.ownerUniqueCheck); err != nil {
 		e.violate("owner-unique", "%v", err)
 	}
-	if err := e.clock.WaitUntil(e.o.SettleSteps, e.durabilityCheck); err != nil {
+	if err := e.clock.WaitUntil(settleSteps, e.durabilityCheck); err != nil {
 		e.violate("durability", "%v", err)
 	}
-	if err := e.clock.WaitUntil(e.o.SettleSteps, e.auxValidCheck); err != nil {
+	if err := e.clock.WaitUntil(settleSteps, e.auxValidCheck); err != nil {
 		e.violate("aux-valid", "%v", err)
 	}
-	if err := e.clock.WaitUntil(e.o.SettleSteps, e.strandedCheck); err != nil {
+	if err := e.clock.WaitUntil(settleSteps, e.strandedCheck); err != nil {
 		e.violate("stranded", "%v", err)
 	}
-	if err := e.clock.WaitUntil(e.o.SettleSteps, e.replicaFreshCheck); err != nil {
+	if err := e.clock.WaitUntil(settleSteps, e.replicaFreshCheck); err != nil {
 		e.violate("replica-fresh", "%v", err)
 	}
-	if err := e.clock.WaitUntil(e.o.SettleSteps, e.latencySaneCheck); err != nil {
+	if err := e.clock.WaitUntil(settleSteps, e.latencySaneCheck); err != nil {
 		e.violate("latency-sane", "%v", err)
 	}
 	if err := e.ownerCheck(); err != nil {
@@ -87,7 +87,7 @@ func (e *engine) ownerCheck() error {
 // convergeCheck compares every live node's routing state against the
 // protocol's cluster oracle.
 func (e *engine) convergeCheck() error {
-	return convergeChecks[e.o.Proto](e.space, e.live, e.o.SuccessorListLen)
+	return convergeChecks[e.o.Proto](e.space, e.live, successorListLen)
 }
 
 // ownerUniqueCheck enforces single owned authority: no key may be held
@@ -217,9 +217,6 @@ func (e *engine) strandedCheck() error {
 // that are no longer live are skipped — the next replication round
 // re-targets around them.
 func (e *engine) replicaFreshCheck() error {
-	if e.o.ReplicationFactor < 2 {
-		return nil
-	}
 	byID := make(map[id.ID]*node.Node, len(e.live))
 	for _, n := range e.live {
 		byID[n.ID()] = n
@@ -245,7 +242,7 @@ func (e *engine) replicaFreshCheck() error {
 		for i, s := range succs {
 			succIDs[i] = s.ID
 		}
-		for _, tgt := range replication.Targets(owner.ID(), succIDs, e.o.ReplicationFactor) {
+		for _, tgt := range replication.Targets(owner.ID(), succIDs, replicationFactor) {
 			rn, ok := byID[tgt]
 			if !ok {
 				continue

@@ -71,20 +71,8 @@ type Options struct {
 	QuiesceEvery int
 	// AuxCount is each node's auxiliary-neighbor budget (default 4).
 	AuxCount int
-	// ReplicationFactor is the copies-per-item count, owner included
-	// (default 2).
-	ReplicationFactor int
-	// SuccessorListLen is the geometry near-neighbor list length
-	// (default 4).
-	SuccessorListLen int
 	// Tick is the step clock's quantum (default 10ms).
 	Tick time.Duration
-	// ConvergeSteps bounds the post-heal convergence wait per window
-	// (default 3000 steps).
-	ConvergeSteps int
-	// SettleSteps bounds each data-plane checker's polling per window
-	// (default 1000 steps).
-	SettleSteps int
 	// WAN, when true, installs a seeded WAN latency topology over the
 	// whole run (memnet.NewWANTopology at soakWANScale), so every RPC —
 	// maintenance, workload, chaos recovery — pays realistic, per-link
@@ -94,6 +82,17 @@ type Options struct {
 	// Logf, when non-nil, receives progress lines (the runner's -v).
 	Logf func(format string, args ...any)
 }
+
+// Fixed run parameters: every node's replication factor (copies per
+// item, owner included) and near-neighbor list length, and the step
+// budgets of the post-heal convergence wait and of each data-plane
+// checker's polling per window.
+const (
+	replicationFactor = 2
+	successorListLen  = 4
+	convergeSteps     = 3000
+	settleSteps       = 1000
+)
 
 func (o Options) withDefaults() (Options, error) {
 	if _, ok := convergeChecks[o.Proto]; !ok {
@@ -109,10 +108,6 @@ func (o Options) withDefaults() (Options, error) {
 	def(&o.Keys, 32)
 	def(&o.QuiesceEvery, 50)
 	def(&o.AuxCount, 4)
-	def(&o.ReplicationFactor, 2)
-	def(&o.SuccessorListLen, 4)
-	def(&o.ConvergeSteps, 3000)
-	def(&o.SettleSteps, 1000)
 	if o.Tick == 0 {
 		o.Tick = 10 * time.Millisecond
 	}
@@ -358,7 +353,7 @@ func Run(o Options) (*Verdict, error) {
 	// The initial ring must converge before any chaos is scripted;
 	// failure here is already a scenario verdict (the geometry cannot
 	// even form a ring), not a harness error.
-	if err := e.clock.WaitUntil(o.ConvergeSteps, e.convergeCheck); err != nil {
+	if err := e.clock.WaitUntil(convergeSteps, e.convergeCheck); err != nil {
 		e.violate("bootstrap-converge", "%v", err)
 	}
 
@@ -407,14 +402,14 @@ func (e *engine) startNode(x id.ID, bootstrap string) (*node.Node, error) {
 		ID:                x,
 		Addr:              cluster.AddrFor(x),
 		NewRing:           ringFactories[e.o.Proto],
-		SuccessorListLen:  e.o.SuccessorListLen,
+		SuccessorListLen:  successorListLen,
 		AuxCount:          e.o.AuxCount,
 		StabilizeEvery:    25 * time.Millisecond,
 		FixFingersEvery:   5 * time.Millisecond,
 		AuxEvery:          200 * time.Millisecond,
 		RPCTimeout:        100 * time.Millisecond,
 		RPCRetries:        1,
-		ReplicationFactor: e.o.ReplicationFactor,
+		ReplicationFactor: replicationFactor,
 		ReplicateEvery:    120 * time.Millisecond,
 		ItemCacheCapacity: -1, // GETs must reach owners: no stale local copies
 		Scheduler:         e.sched,
@@ -439,10 +434,7 @@ func (e *engine) startNode(x id.ID, bootstrap string) (*node.Node, error) {
 // quorum arithmetic of the durability invariant stops being
 // interesting and partitions stop being expressible.
 func (e *engine) minLive() int {
-	if f := e.o.ReplicationFactor + 2; f > 4 {
-		return f
-	}
-	return 4
+	return max(replicationFactor+2, 4)
 }
 
 func (e *engine) state(k id.ID) *keyState {
